@@ -12,16 +12,20 @@ package pops
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/buffering"
+	"repro/internal/delay"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/gate"
 	"repro/internal/iscas"
 	"repro/internal/netlist"
+	"repro/internal/sizing"
 	"repro/internal/sta"
 )
 
@@ -437,11 +441,10 @@ func BenchmarkSequentialSuite(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSuite runs the same batch through the concurrent
-// engine at 1/2/4/8 workers. On multi-core hardware the suite job
-// scales near-linearly until the worker count passes GOMAXPROCS; the
-// speedup-vs-BenchmarkSequentialSuite ratio is the engine's headline
-// number (recorded in BENCH_engine.json).
+// BenchmarkEngineSuite runs the same batch through a primed engine at
+// 1/2/4/8 workers: every timed cell is a result-memo hit, so the rows
+// measure the service's cached path (lookup, clone, bookkeeping), not
+// optimization. BenchmarkEngineSuiteUncached is the compute view.
 func BenchmarkEngineSuite(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -450,9 +453,11 @@ func BenchmarkEngineSuite(b *testing.B) {
 				b.Fatal(err)
 			}
 			req := SuiteRequest{Benchmarks: engineBenchSet, Ratios: engineRatios}
-			// Warm the characterization cache outside the timed
-			// region, mirroring the baseline's pre-built protocol.
-			if _, err := eng.Optimize(context.Background(), OptimizeRequest{Circuit: "fpd", Ratio: 2}); err != nil {
+			// Prime the characterization cache and the result memo
+			// outside the timed region, so every timed iteration is the
+			// steady state this row claims to measure (memo hits), not
+			// first-iteration compute amortized over b.N.
+			if _, err := eng.Suite(context.Background(), req); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
@@ -684,4 +689,81 @@ func BenchmarkAblationTminSeeding(b *testing.B) {
 		}
 	}
 	b.ReportMetric(drift, "drift-%")
+}
+
+// --- Path-solver layer benches (internal/sizing, internal/buffering) ---
+
+// suiteCriticalPaths extracts the critical path of every suite circuit
+// at its generated sizes: the inputs the protocol's first round hands
+// to the path solvers.
+func suiteCriticalPaths(b *testing.B, m *Model) []*Path {
+	b.Helper()
+	var paths []*Path
+	for _, spec := range iscas.Suite() {
+		c, err := Benchmark(spec.Name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pa, _, err := CriticalPath(c, m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		paths = append(paths, pa)
+	}
+	return paths
+}
+
+// BenchmarkTmin measures the §3.1 minimum-delay bound (link-equation
+// fixed point plus worst-edge polish) over the 11 suite critical paths,
+// through a reused workspace as the round loop runs it.
+func BenchmarkTmin(b *testing.B) {
+	m := NewModel(DefaultProcess())
+	paths := suiteCriticalPaths(b, m)
+	work := make([]delay.Path, len(paths))
+	opts := sizing.Options{NoTrace: true, Workspace: &sizing.Workspace{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, pa := range paths {
+			if _, err := sizing.Tmin(m, pa.CopyInto(&work[k]), opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkDistributeWithBuffers measures the §4.1 buffered constraint
+// distribution over the 11 suite critical paths in each mode at the
+// ratio where the protocol picks it: Local in the medium domain
+// (Tc = 1.2·Tmin, suite-tight's ratio) and Global in the hard domain
+// (Tc = 1.1·Tmin).
+func BenchmarkDistributeWithBuffers(b *testing.B) {
+	m := NewModel(DefaultProcess())
+	paths := suiteCriticalPaths(b, m)
+	limits := buffering.Limits(buffering.CharacterizeLibrary(m, nil, buffering.Options{}))
+	tmin := make([]float64, len(paths))
+	for k, pa := range paths {
+		r, err := sizing.Tmin(m, pa.Clone(), sizing.Options{NoTrace: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		tmin[k] = r.Delay
+	}
+	for _, c := range []struct {
+		name  string
+		mode  buffering.Mode
+		ratio float64
+	}{{"mode=local", buffering.Local, 1.2}, {"mode=global", buffering.Global, 1.1}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for k, pa := range paths {
+					_, err := buffering.DistributeWithBuffers(m, pa, c.ratio*tmin[k], limits, c.mode, sizing.Options{NoTrace: true})
+					if err != nil && !errors.Is(err, sizing.ErrInfeasible) {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
 }

@@ -392,7 +392,7 @@ func DistributeWithBuffers(m *delay.Model, pa *delay.Path, tc float64, limits ma
 				return nil, errIns
 			}
 			if mode == Local {
-				sizeInsertedLocally(m, trial, idx+1)
+				sizeInsertedLocally(m, trial, idx+1, opts.Workspace.PathEval())
 			}
 			r, errD := distribute(trial)
 			switch {
@@ -440,29 +440,27 @@ func distributeOnce(m *delay.Model, q *delay.Path, tc float64, mode Mode, opts s
 
 // sizeInsertedLocally golden-sections the single inserted buffer at
 // position idx for minimum path delay, holding everything else fixed.
-func sizeInsertedLocally(m *delay.Model, pa *delay.Path, idx int) {
+// Every probe goes through the incremental evaluator ev.
+func sizeInsertedLocally(m *delay.Model, pa *delay.Path, idx int, ev *delay.PathEval) {
 	lo := m.Proc.CRef
 	hi := math.Max(4*lo, pa.Stages[idx].COff*2)
 	if hi > m.Proc.CMax {
 		hi = m.Proc.CMax
 	}
 	const phi = 0.6180339887498949
-	at := func(x float64) float64 {
-		pa.Stages[idx].CIn = x
-		return m.PathDelayWorst(pa)
-	}
+	ev.Reset(m, pa)
 	x1 := hi - phi*(hi-lo)
 	x2 := lo + phi*(hi-lo)
-	f1, f2 := at(x1), at(x2)
+	f1, f2 := ev.Probe(idx, x1), ev.Probe(idx, x2)
 	for i := 0; i < 80 && hi-lo > 1e-9*hi; i++ {
 		if f1 < f2 {
 			hi, x2, f2 = x2, x1, f1
 			x1 = hi - phi*(hi-lo)
-			f1 = at(x1)
+			f1 = ev.Probe(idx, x1)
 		} else {
 			lo, x1, f1 = x1, x2, f2
 			x2 = lo + phi*(hi-lo)
-			f2 = at(x2)
+			f2 = ev.Probe(idx, x2)
 		}
 	}
 	if f1 < f2 {
@@ -514,7 +512,7 @@ func solveFrozen(m *delay.Model, pa *delay.Path, a float64, bbuf *[]float64) flo
 // re-sizing of each buffer against the current neighborhood and (b) a
 // bisection on the sensitivity a with the buffers pinned.
 func distributeFrozenBuffers(m *delay.Model, pa *delay.Path, tc float64, opts sizing.Options) (*sizing.Result, error) {
-	_ = opts
+	ev := opts.Workspace.PathEval()
 	// One B-coefficient scratch serves every solveFrozen sweep of this
 	// distribution (hundreds of bisection probes × up to 120 sweeps).
 	var bbuf []float64
@@ -523,7 +521,7 @@ func distributeFrozenBuffers(m *delay.Model, pa *delay.Path, tc float64, opts si
 		// (a) local buffer sizing against the current sizes.
 		for i := range pa.Stages {
 			if pa.Stages[i].Inserted {
-				sizeInsertedLocally(m, pa, i)
+				sizeInsertedLocally(m, pa, i, ev)
 			}
 		}
 		// (b) frozen-buffer sensitivity bisection.

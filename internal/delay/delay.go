@@ -262,15 +262,9 @@ func (m *Model) PathDelayLaunch(pa *Path, risingInput bool) float64 {
 	var total float64
 	for i := range pa.Stages {
 		st := &pa.Stages[i]
-		cl := pa.LoadAt(i)
-		if rising {
-			// Input rising → output falling for inverting cells.
-			total += m.GateDelayHL(st.Cell, st.CIn, cl, tauIn)
-			tauIn = m.TransitionHL(st.Cell, st.CIn, cl)
-		} else {
-			total += m.GateDelayLH(st.Cell, st.CIn, cl, tauIn)
-			tauIn = m.TransitionLH(st.Cell, st.CIn, cl)
-		}
+		d, tr := m.stageTerms(st, rising, pa.LoadAt(i), tauIn)
+		total += d
+		tauIn = tr
 		if st.Cell.Invert {
 			rising = !rising
 		}
@@ -278,6 +272,27 @@ func (m *Model) PathDelayLaunch(pa *Path, risingInput bool) float64 {
 		// first stage inversion is absorbed in the cell personality.
 	}
 	return total
+}
+
+// stageTerms returns one stage's delay and output transition for the
+// given input edge, load cl and input transition tauIn: the per-stage
+// step of PathDelayLaunch, shared with PathEval so both evaluate
+// every term identically.
+func (m *Model) stageTerms(st *Stage, rising bool, cl, tauIn float64) (d, tr float64) {
+	d = m.stageDelay(st, rising, cl, tauIn)
+	if rising {
+		return d, m.TransitionHL(st.Cell, st.CIn, cl)
+	}
+	return d, m.TransitionLH(st.Cell, st.CIn, cl)
+}
+
+// stageDelay is the delay half of stageTerms.
+func (m *Model) stageDelay(st *Stage, rising bool, cl, tauIn float64) float64 {
+	if rising {
+		// Input rising → output falling for inverting cells.
+		return m.GateDelayHL(st.Cell, st.CIn, cl, tauIn)
+	}
+	return m.GateDelayLH(st.Cell, st.CIn, cl, tauIn)
 }
 
 // PathDelayWorst returns the worse of the two launch edges (ps) — the
@@ -315,9 +330,10 @@ func (m *Model) BCoefficientsInto(dst []float64, pa *Path) []float64 {
 		st := &pa.Stages[i]
 		cl := pa.LoadAt(i)
 		mf := m.millerFactor(0.25, st.CIn, cl)
-		coef := st.Cell.SMean(m.Proc) * m.Proc.Tau / 2 * mf
+		h := st.Cell.SMean(m.Proc) * m.Proc.Tau / 2
+		coef := h * mf
 		if m.SlopeEffect && i+1 < n {
-			coef += st.Cell.SMean(m.Proc) * m.Proc.Tau / 2 * m.Proc.VTMean()
+			coef += h * m.Proc.VTMean()
 		}
 		b[i] = coef
 	}

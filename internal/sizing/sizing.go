@@ -63,10 +63,22 @@ type Options struct {
 // threaded through Options, a steady-state Tmin/Distribute call
 // performs no heap allocation. The zero value is ready to use.
 type Workspace struct {
-	b     []float64 // BCoefficients buffer, reused every sweep
-	sizes []float64 // sizing snapshot buffer (Distribute)
-	tmin  Result    // result slot for Tmin
-	dist  Result    // result slot for AtSensitivity/Distribute/Sutherland
+	b     []float64      // BCoefficients buffer, reused every sweep
+	sizes []float64      // sizing snapshot buffer (Distribute)
+	eval  delay.PathEval // incremental worst-edge evaluator (polish, trim)
+	tmin  Result         // result slot for Tmin
+	dist  Result         // result slot for AtSensitivity/Distribute/Sutherland
+}
+
+// PathEval returns the workspace's incremental worst-edge evaluator,
+// or a fresh one for a nil workspace. Each user Resets it before use,
+// so solvers sharing a workspace may share the evaluator as long as
+// their calls do not interleave.
+func (ws *Workspace) PathEval() *delay.PathEval {
+	if ws == nil {
+		return &delay.PathEval{}
+	}
+	return &ws.eval
 }
 
 // bcoefs computes the B coefficients, through the workspace buffer
@@ -211,7 +223,7 @@ func Tmin(m *delay.Model, pa *delay.Path, opts Options) (*Result, error) {
 	// is also convex in the sizes (a max of convex functions), so a
 	// coordinate golden-section descent converges to its optimum.
 	if !o.NoPolish {
-		polishWorstEdge(m, pa)
+		polishWorstEdge(m, pa, o.Workspace.PathEval())
 		if !o.NoTrace {
 			res.Iterations = append(res.Iterations, IterationPoint{
 				Sweep:     res.Sweeps + 1,
@@ -227,11 +239,13 @@ func Tmin(m *delay.Model, pa *delay.Path, opts Options) (*Result, error) {
 }
 
 // polishWorstEdge performs cyclic coordinate descent on the worst-edge
-// path delay, one golden-section line search per interior stage.
-func polishWorstEdge(m *delay.Model, pa *delay.Path) {
+// path delay, one golden-section line search per interior stage. Every
+// probe goes through the incremental evaluator ev.
+func polishWorstEdge(m *delay.Model, pa *delay.Path, ev *delay.PathEval) {
 	const phi = 0.6180339887498949
 	n := len(pa.Stages)
 	cur := m.PathDelayWorst(pa)
+	ev.Reset(m, pa)
 	for sweep := 0; sweep < 8; sweep++ {
 		improved := false
 		for i := 1; i < n; i++ {
@@ -241,22 +255,18 @@ func polishWorstEdge(m *delay.Model, pa *delay.Path) {
 			x0 := pa.Stages[i].CIn
 			lo := math.Max(m.Proc.CRef, x0/4)
 			hi := math.Min(m.Proc.CMax, x0*4)
-			at := func(x float64) float64 {
-				pa.Stages[i].CIn = x
-				return m.PathDelayWorst(pa)
-			}
 			x1 := hi - phi*(hi-lo)
 			x2 := lo + phi*(hi-lo)
-			f1, f2 := at(x1), at(x2)
+			f1, f2 := ev.Probe(i, x1), ev.Probe(i, x2)
 			for it := 0; it < 48 && hi-lo > 1e-9*hi; it++ {
 				if f1 < f2 {
 					hi, x2, f2 = x2, x1, f1
 					x1 = hi - phi*(hi-lo)
-					f1 = at(x1)
+					f1 = ev.Probe(i, x1)
 				} else {
 					lo, x1, f1 = x1, x2, f2
 					x2 = lo + phi*(hi-lo)
-					f2 = at(x2)
+					f2 = ev.Probe(i, x2)
 				}
 			}
 			best, bx := f1, x1
@@ -264,11 +274,9 @@ func polishWorstEdge(m *delay.Model, pa *delay.Path) {
 				best, bx = f2, x2
 			}
 			if best < cur*(1-1e-12) {
-				pa.Stages[i].CIn = bx
+				ev.Commit(i, bx)
 				cur = best
 				improved = true
-			} else {
-				pa.Stages[i].CIn = x0
 			}
 		}
 		if !improved {
@@ -466,7 +474,7 @@ func Distribute(m *delay.Model, pa *delay.Path, tc float64, opts Options) (*Resu
 	// feasible set in each coordinate is an interval (convexity), so
 	// per-stage bisection toward the lower boundary is sound.
 	if !opts.NoPolish {
-		trimArea(m, pa, tc)
+		trimArea(m, pa, tc, o.Workspace.PathEval())
 		r.Delay = m.PathDelayWorst(pa)
 		r.MeanDelay = m.PathDelayMean(pa)
 		r.Area = pa.Area(m.Proc)
@@ -475,9 +483,11 @@ func Distribute(m *delay.Model, pa *delay.Path, tc float64, opts Options) (*Resu
 }
 
 // trimArea shrinks each stage toward the smallest size that keeps the
-// worst-edge path delay within tc, sweeping until no stage moves.
-func trimArea(m *delay.Model, pa *delay.Path, tc float64) {
+// worst-edge path delay within tc, sweeping until no stage moves. Every
+// probe goes through the incremental evaluator ev.
+func trimArea(m *delay.Model, pa *delay.Path, tc float64, ev *delay.PathEval) {
 	n := len(pa.Stages)
+	ev.Reset(m, pa)
 	for sweep := 0; sweep < 3; sweep++ {
 		moved := false
 		for i := 1; i < n; i++ {
@@ -486,8 +496,8 @@ func trimArea(m *delay.Model, pa *delay.Path, tc float64) {
 			if lo >= hi {
 				continue
 			}
-			pa.Stages[i].CIn = lo
-			if m.PathDelayWorst(pa) <= tc {
+			if ev.Probe(i, lo) <= tc {
+				ev.Commit(i, lo)
 				if cur != lo {
 					moved = true
 				}
@@ -497,14 +507,13 @@ func trimArea(m *delay.Model, pa *delay.Path, tc float64) {
 			// precision is plenty for an area cleanup.
 			for it := 0; it < 14 && hi-lo > 1e-3*hi; it++ {
 				mid := (lo + hi) / 2
-				pa.Stages[i].CIn = mid
-				if m.PathDelayWorst(pa) <= tc {
+				if ev.Probe(i, mid) <= tc {
 					hi = mid
 				} else {
 					lo = mid
 				}
 			}
-			pa.Stages[i].CIn = hi
+			ev.Commit(i, hi)
 			if hi < cur*(1-1e-3) {
 				moved = true
 			}
