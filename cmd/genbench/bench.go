@@ -77,7 +77,7 @@ func runBenchCapture(args []string) error {
 	desc := fs.String("desc", "", "description embedded in the record")
 	note := fs.String("note", "", "host note embedded in the record")
 	engineMetrics := fs.Bool("engine-metrics", true, "embed a post-run engine metrics snapshot in the host block")
-	allowSingleCore := fs.Bool("allow-single-core", false, "record anyway on a single-core host (parallel rows will be meaningless)")
+	allowSingleCore := fs.Bool("allow-single-core", false, "record anyway on a single-core host (engine workers= rows will be meaningless)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -85,18 +85,19 @@ func runBenchCapture(args []string) error {
 		return fmt.Errorf("both -out and -pattern are required")
 	}
 
-	// Single-core guard: the suite and wavefront benchmarks exist to
-	// show parallel scaling, and a 1-CPU host cannot — every workers/
-	// degree row collapses onto the serial number and the baseline
-	// silently understates multi-core builds. Refuse unless the caller
-	// explicitly owns that trade-off.
+	// Single-core guard: every task runs serially, so the engine's
+	// workers= rows (one task per worker) are the only rows that show
+	// more than one core. On a 1-CPU host they collapse onto the
+	// workers=1 number and the baseline silently understates
+	// multi-core builds. Refuse unless the caller explicitly owns that
+	// trade-off.
 	if runtime.NumCPU() == 1 {
 		if !*allowSingleCore {
 			return fmt.Errorf("refusing to record on a single-core host (NumCPU=1): " +
-				"parallel benchmark rows would be meaningless; pass -allow-single-core to record anyway")
+				"engine workers= rows would be meaningless; pass -allow-single-core to record anyway")
 		}
 		fmt.Fprintln(os.Stderr, "genbench bench: WARNING: recording on a single-core host (NumCPU=1); "+
-			"parallelism rows measure scheduling overhead only, not speedup — re-record on a multi-core host")
+			"engine workers= rows measure scheduling overhead only, not speedup — re-record on a multi-core host")
 	}
 
 	// Vet gate: a baseline captured from a tree that fails vet measures

@@ -22,8 +22,8 @@
 // generic exit 1 — so bench harnesses fail fast on lint errors instead
 // of recording a baseline from a tree that will not survive review. On
 // a single-core host (runtime.NumCPU() == 1) it refuses to record at
-// all — workers/parallelism rows would collapse onto the serial number
-// and silently understate multi-core builds — unless
+// all — the engine's workers= rows, the only rows that show more than
+// one core, would collapse onto the workers=1 number — unless
 // -allow-single-core is passed, in which case it records under a loud
 // stderr warning and stamps num_cpu into the host block.
 package main

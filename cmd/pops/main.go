@@ -27,10 +27,7 @@
 // optimize and sweep accept -data-dir: a durable result cache shared
 // across invocations (and with a popsd running on the same directory),
 // so repeating a (circuit, Tc) request serves the persisted record
-// instead of recomputing. They also accept -parallelism, the
-// intra-circuit parallelism of the timing and power kernels (0 auto,
-// 1 serial, n at most n workers); results are byte-identical at every
-// degree, so the flag only changes wall-clock time.
+// instead of recomputing.
 package main
 
 import (
@@ -62,12 +59,11 @@ func main() {
 	points := fs.Int("points", 11, "Tc grid size (sweep)")
 	addr := fs.String("addr", "http://localhost:8080", "base URL of a running popsd (metrics)")
 	dataDir := fs.String("data-dir", "", "durable result cache shared across invocations (optimize, sweep)")
-	parallelism := fs.Int("parallelism", 0, "intra-circuit parallelism of the timing/power kernels: 0 auto, 1 serial, n>1 at most n workers (optimize, sweep)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
 
-	if err := run(os.Stdout, cmd, *benchFile, *circuit, *addr, *dataDir, *tc, *ratio, *k, *points, *parallelism); err != nil {
+	if err := run(os.Stdout, cmd, *benchFile, *circuit, *addr, *dataDir, *tc, *ratio, *k, *points); err != nil {
 		fmt.Fprintln(os.Stderr, "pops:", err)
 		os.Exit(1)
 	}
@@ -162,7 +158,7 @@ func newEngine(dataDir string) (*pops.Engine, func(), error) {
 	return eng, func() { disk.Close() }, nil
 }
 
-func run(w io.Writer, cmd, benchFile, circuit, addr, dataDir string, tc, ratio float64, k, points, parallelism int) error {
+func run(w io.Writer, cmd, benchFile, circuit, addr, dataDir string, tc, ratio float64, k, points int) error {
 	proc := pops.DefaultProcess()
 	model := pops.NewModel(proc)
 
@@ -195,7 +191,7 @@ func run(w io.Writer, cmd, benchFile, circuit, addr, dataDir string, tc, ratio f
 		}
 		defer closeStore()
 		res, err := eng.Optimize(context.Background(), pops.OptimizeRequest{
-			Circuit: name, Bench: bench, Tc: tc, Ratio: ratio, Parallelism: parallelism,
+			Circuit: name, Bench: bench, Tc: tc, Ratio: ratio,
 		})
 		if err != nil {
 			return err
@@ -223,7 +219,7 @@ func run(w io.Writer, cmd, benchFile, circuit, addr, dataDir string, tc, ratio f
 		}
 		defer closeStore()
 		sw, err := eng.Sweep(context.Background(), pops.SweepRequest{
-			Circuit: name, Bench: bench, Points: points, Parallelism: parallelism,
+			Circuit: name, Bench: bench, Points: points,
 		})
 		if err != nil {
 			return err

@@ -24,7 +24,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func golden(t *testing.T, name, cmd, circuit string, tc, ratio float64, k int) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := run(&buf, cmd, "", circuit, "", "", tc, ratio, k, 11, 0); err != nil {
+	if err := run(&buf, cmd, "", circuit, "", "", tc, ratio, k, 11); err != nil {
 		t.Fatalf("%s: %v", cmd, err)
 	}
 	path := filepath.Join("testdata", name+".golden")
@@ -75,29 +75,29 @@ func TestBoundsGolden(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "optimize", "", "fpd", "", "", 0, 0, 3, 11, 0); err == nil ||
+	if err := run(&buf, "optimize", "", "fpd", "", "", 0, 0, 3, 11); err == nil ||
 		!strings.Contains(err.Error(), "-tc or -ratio") {
 		t.Fatalf("optimize without constraint: %v", err)
 	}
-	if err := run(&buf, "leakage", "", "fpd", "", "", 0, 0, 3, 11, 0); err == nil ||
+	if err := run(&buf, "leakage", "", "fpd", "", "", 0, 0, 3, 11); err == nil ||
 		!strings.Contains(err.Error(), "-tc or -ratio") {
 		t.Fatalf("leakage without constraint: %v", err)
 	}
-	if err := run(&buf, "analyze", "", "", "", "", 0, 0, 3, 11, 0); err == nil ||
+	if err := run(&buf, "analyze", "", "", "", "", 0, 0, 3, 11); err == nil ||
 		!strings.Contains(err.Error(), "-bench or -circuit") {
 		t.Fatalf("analyze without circuit: %v", err)
 	}
-	if err := run(&buf, "frobnicate", "", "fpd", "", "", 0, 0, 3, 11, 0); err == nil ||
+	if err := run(&buf, "frobnicate", "", "fpd", "", "", 0, 0, 3, 11); err == nil ||
 		!strings.Contains(err.Error(), "unknown command") {
 		t.Fatalf("unknown command: %v", err)
 	}
 	// Both sources is rejected, never silently resolved — the same rule
 	// the engine and HTTP layer enforce.
-	if err := run(&buf, "optimize", "x.bench", "fpd", "", "", 0, 1.3, 3, 11, 0); err == nil ||
+	if err := run(&buf, "optimize", "x.bench", "fpd", "", "", 0, 1.3, 3, 11); err == nil ||
 		!strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("optimize with both sources: %v", err)
 	}
-	if err := run(&buf, "analyze", "x.bench", "fpd", "", "", 0, 0, 3, 11, 0); err == nil ||
+	if err := run(&buf, "analyze", "x.bench", "fpd", "", "", 0, 0, 3, 11); err == nil ||
 		!strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("analyze with both sources: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestRunErrors(t *testing.T) {
 
 func TestSweepGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "sweep", "", "fpd", "", "", 0, 0, 3, 5, 0); err != nil {
+	if err := run(&buf, "sweep", "", "fpd", "", "", 0, 0, 3, 5); err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
 	path := filepath.Join("testdata", "sweep_fpd.golden")
@@ -135,7 +135,7 @@ func TestOptimizeBenchFileMatchesFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	if err := run(&got, "optimize", file, "", "", "", 0, 1.3, 3, 11, 0); err != nil {
+	if err := run(&got, "optimize", file, "", "", "", 0, 1.3, 3, 11); err != nil {
 		t.Fatalf("optimize -bench: %v", err)
 	}
 
@@ -179,7 +179,7 @@ func TestMetricsSubcommand(t *testing.T) {
 	defer srv.Shutdown()
 
 	var buf bytes.Buffer
-	if err := run(&buf, "metrics", "", "", ts.URL, "", 0, 0, 3, 11, 0); err != nil {
+	if err := run(&buf, "metrics", "", "", ts.URL, "", 0, 0, 3, 11); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -189,7 +189,7 @@ func TestMetricsSubcommand(t *testing.T) {
 		}
 	}
 
-	if err := run(&buf, "metrics", "", "", ts.URL+"/nope", "", 0, 0, 3, 11, 0); err == nil ||
+	if err := run(&buf, "metrics", "", "", ts.URL+"/nope", "", 0, 0, 3, 11); err == nil ||
 		!strings.Contains(err.Error(), "answered") {
 		t.Fatalf("metrics against a 404 path returned %v, want status error", err)
 	}
@@ -202,7 +202,7 @@ func TestMetricsSubcommand(t *testing.T) {
 func TestOptimizeDataDirWarmCache(t *testing.T) {
 	dir := t.TempDir()
 	var first, second bytes.Buffer
-	if err := run(&first, "optimize", "", "fpd", "", dir, 0, 1.3, 3, 11, 0); err != nil {
+	if err := run(&first, "optimize", "", "fpd", "", dir, 0, 1.3, 3, 11); err != nil {
 		t.Fatal(err)
 	}
 	psr, err := filepath.Glob(filepath.Join(dir, "results", "*.psr"))
@@ -212,7 +212,7 @@ func TestOptimizeDataDirWarmCache(t *testing.T) {
 	if len(psr) == 0 {
 		t.Fatal("optimize -data-dir persisted no records")
 	}
-	if err := run(&second, "optimize", "", "fpd", "", dir, 0, 1.3, 3, 11, 0); err != nil {
+	if err := run(&second, "optimize", "", "fpd", "", dir, 0, 1.3, 3, 11); err != nil {
 		t.Fatal(err)
 	}
 	if first.String() != second.String() {

@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	popsd [-addr :8080] [-workers N] [-max-rounds N] [-parallelism N]
-//	      [-pprof-addr addr] [-log-level info] [-log-format text]
+//	popsd [-addr :8080] [-workers N] [-max-rounds N] [-pprof-addr addr]
+//	      [-log-level info] [-log-format text]
 //	      [-data-dir dir] [-flush-interval 1s]
 //
 // Endpoints (see internal/engine's HTTP layer):
@@ -75,7 +75,6 @@ type options struct {
 	pprofAddr     string
 	workers       int
 	maxRounds     int
-	parallelism   int
 	logLevel      string
 	logFormat     string
 	dataDir       string
@@ -91,7 +90,6 @@ func main() {
 	flag.StringVar(&opts.addr, "addr", ":8080", "listen address")
 	flag.IntVar(&opts.workers, "workers", runtime.GOMAXPROCS(0), "worker-pool size")
 	flag.IntVar(&opts.maxRounds, "max-rounds", 0, "per-circuit protocol round bound (0: library default)")
-	flag.IntVar(&opts.parallelism, "parallelism", 0, "per-task intra-circuit parallelism of the timing/power kernels (0: auto-size from idle pool capacity, 1: serial)")
 	flag.StringVar(&opts.pprofAddr, "pprof-addr", "", "listen address of the opt-in net/http/pprof debug endpoint (empty: disabled)")
 	flag.StringVar(&opts.logLevel, "log-level", "info", "minimum log level: debug, info, warn or error")
 	flag.StringVar(&opts.logFormat, "log-format", "text", "log line encoding: text or json")
@@ -182,7 +180,7 @@ func run(ctx context.Context, opts options, logw io.Writer) error {
 		return err
 	}
 
-	cfg := engine.Config{Workers: opts.workers, MaxRounds: opts.maxRounds, Parallelism: opts.parallelism}
+	cfg := engine.Config{Workers: opts.workers, MaxRounds: opts.maxRounds}
 	var (
 		eng     *engine.Engine
 		dur     *durability

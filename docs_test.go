@@ -241,7 +241,6 @@ func TestDocsConcurrencyLintCovered(t *testing.T) {
 			"byte-identity", "//pops:orderindep",
 			"pre-drawn serially", "block after the unlock",
 			"-ignores", "ignores_budget.txt",
-			"TestWavefrontStressForcedDegrees", "TestShardedStressForcedDegrees",
 			"seeded-violation", "staticcheck",
 		},
 		"README.md": {
@@ -280,45 +279,6 @@ func TestDocsStaticAnalysisCovered(t *testing.T) {
 		"README.md": {
 			"popslint", "-vettool", "mutatorepoch", "noalloc",
 			"memokey", "nilrecorder", "popslint:ignore",
-		},
-	}
-	for file, wants := range requirements {
-		buf, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		text := string(buf)
-		for _, want := range wants {
-			if !strings.Contains(text, want) {
-				t.Errorf("%s no longer documents %q", file, want)
-			}
-		}
-	}
-}
-
-// TestDocsParallelismCovered pins the intra-circuit parallelism
-// surface into the documentation: the HTTP reference must document the
-// `parallelism` wire field on every POST body, the architecture page
-// must describe the wavefront/shard scheduling design (level cache,
-// RNG-stream contract, worker-capacity interplay with the engine
-// pool), and the README must carry the flags and the re-anchored
-// baseline table.
-func TestDocsParallelismCovered(t *testing.T) {
-	requirements := map[string][]string{
-		filepath.Join("docs", "API.md"): {
-			"`parallelism`", "byte-identical", "`mixN`",
-		},
-		filepath.Join("docs", "ARCHITECTURE.md"): {
-			"Intra-circuit parallelism", "internal/par",
-			"par.Wavefront", "netlist.Levelize", "epoch-cached",
-			"RNG-stream contract", "staParallelMinNodes",
-			"powerParallelMinNets", "taskParallelism", "sync.Pool",
-			"byte-identical results",
-		},
-		"README.md": {
-			"-parallelism", "BenchmarkWavefrontSTA",
-			"BenchmarkParallelPower", "BenchmarkEngineSuiteUncached",
-			"mix50000", "-allow-single-core",
 		},
 	}
 	for file, wants := range requirements {

@@ -103,14 +103,6 @@ type Config struct {
 	// Implementations must be concurrency-safe and allocation-free on
 	// the per-round call (see the Recorder doc).
 	Recorder Recorder
-	// Parallelism is the intra-circuit parallelism policy applied to
-	// the hot kernels — wavefront STA passes and sharded power
-	// simulation (see internal/par for the grammar; 0 = auto). It is a
-	// scheduling knob, never an analysis parameter: every degree
-	// produces byte-identical results. NewProtocol folds it into
-	// STA.Parallelism when that field is unset, and the leakage pass
-	// inherits it for its power profile.
-	Parallelism int
 }
 
 // Protocol is a configured instance of the Fig. 7 decision diagram.
@@ -137,9 +129,6 @@ func NewProtocol(cfg Config) (*Protocol, error) {
 	}
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = 12
-	}
-	if cfg.STA.Parallelism == 0 {
-		cfg.STA.Parallelism = cfg.Parallelism
 	}
 	rec := cfg.Recorder
 	if rec == nil {
@@ -630,16 +619,6 @@ func (p *Protocol) OptimizeWithLeakageSession(ctx context.Context, sess *sta.Ses
 	}
 	if opts.STA == (sta.Config{}) {
 		opts.STA = p.cfg.STA
-	}
-	// Parallelism is a scheduling knob, not an analysis parameter: the
-	// session may carry a per-task degree (engine idle-capacity sizing)
-	// that must not force a second leakage session. Normalize it before
-	// deciding whether the Vt pass needs different analysis slopes, and
-	// let the power profile inherit the protocol's degree when the
-	// caller left it on auto.
-	opts.STA.Parallelism = sess.Config().Parallelism
-	if opts.Power.Parallelism == 0 {
-		opts.Power.Parallelism = sess.Config().Parallelism
 	}
 	lsess := sess
 	if opts.STA != sess.Config() {

@@ -52,15 +52,6 @@ type Config struct {
 	Sizing sizing.Options
 	// STA configures path extraction (forwarded to the protocol).
 	STA sta.Config
-	// Parallelism is the engine-wide intra-circuit parallelism policy
-	// for the timing and power kernels (see internal/par; 0 = auto).
-	// On auto, each task sizes its own degree from idle pool capacity
-	// at task start: a saturated pool runs tasks serially inside
-	// (inter-task parallelism already owns the cores), a lone task on
-	// an idle engine fans its wavefronts across the machine. Results
-	// are byte-identical at every degree, so the knob is absent from
-	// all memo keys.
-	Parallelism int
 	// MaxRounds bounds the per-circuit optimize-worst-path iterations
 	// (default: the core driver's 12).
 	MaxRounds int
@@ -196,31 +187,6 @@ func (e *Engine) fanOut(ctx context.Context, n int, task func(i int) error) erro
 	return nil
 }
 
-// taskParallelism resolves the intra-circuit parallelism degree of one
-// task: an explicit request value wins, then the engine-wide Config
-// value, then auto-sizing from idle pool capacity — this task's own
-// slot plus the currently unoccupied workers, capped at GOMAXPROCS. A
-// saturated pool therefore degrades to serial per-task analysis
-// (inter-task parallelism already owns the cores), while a lone
-// request on an idle engine fans its wavefronts across the machine.
-func (e *Engine) taskParallelism(req int) int {
-	if req != 0 {
-		return req
-	}
-	if e.cfg.Parallelism != 0 {
-		return e.cfg.Parallelism
-	}
-	idle := e.cfg.Workers - int(e.metrics.busyWorkers.Value())
-	if idle < 0 {
-		idle = 0
-	}
-	deg := 1 + idle
-	if m := runtime.GOMAXPROCS(0); deg > m {
-		deg = m
-	}
-	return deg
-}
-
 // loadCircuit instantiates a fresh netlist for a request: a named
 // suite benchmark, the genuine c17, or a ripple-carry adder — always a
 // new instance, so concurrent tasks never share mutable gates.
@@ -303,11 +269,6 @@ type OptimizeRequest struct {
 	// selective multi-Vt pass promotes non-critical gates to higher
 	// thresholds under the engine's leakage policy.
 	Leakage bool `json:"leakage,omitempty"`
-	// Parallelism overrides the engine's intra-circuit parallelism
-	// policy for this task (see Config.Parallelism; 0 = inherit). A
-	// pure scheduling knob: results are byte-identical at every value,
-	// so it does not participate in result memoization.
-	Parallelism int `json:"parallelism,omitempty"`
 
 	// parsed caches the validated Bench netlist when the caller (the
 	// HTTP layer) already parsed it; never serialized.
@@ -405,11 +366,6 @@ func (e *Engine) computeTask(ctx context.Context, req OptimizeRequest, src *sour
 	// the same reused per-node buffers.
 	sess := proto.NewTimingSession(c)
 	sess.SetRecorder(e.metrics.staRec)
-	// Per-task intra-circuit parallelism: the session carries the
-	// degree into every wavefront STA pass, and the leakage pass
-	// inherits it for its sharded power profile. Scheduling only —
-	// outputs are byte-identical at any degree.
-	sess.SetParallelism(e.taskParallelism(req.Parallelism))
 	if tb == nil {
 		boundsStart := time.Now()
 		pa, _, err := sess.CriticalPath()
@@ -467,9 +423,6 @@ type SweepRequest struct {
 	// Leakage makes every point a leakage-aware run (multi-Vt
 	// assignment after sizing) under the engine's leakage policy.
 	Leakage bool `json:"leakage,omitempty"`
-	// Parallelism overrides the engine's intra-circuit parallelism
-	// policy for every point (see OptimizeRequest.Parallelism).
-	Parallelism int `json:"parallelism,omitempty"`
 
 	// parsed caches the validated Bench netlist (see OptimizeRequest).
 	parsed *ParsedBench
@@ -566,7 +519,7 @@ func (e *Engine) Sweep(ctx context.Context, req SweepRequest) (*Sweep, error) {
 	bounds := &pathBounds{tmin: tmin, tmax: tmax}
 	err = e.fanOut(ctx, points, func(i int) error {
 		ratio := 1.0 + float64(i)/float64(points-1)
-		r, err := e.optimizeTask(ctx, OptimizeRequest{Tc: ratio * tmin, Leakage: req.Leakage, Parallelism: req.Parallelism}, src, master.Clone, bounds)
+		r, err := e.optimizeTask(ctx, OptimizeRequest{Tc: ratio * tmin, Leakage: req.Leakage}, src, master.Clone, bounds)
 		if err != nil {
 			return err
 		}
@@ -606,9 +559,6 @@ type SuiteRequest struct {
 	// Leakage makes every cell a leakage-aware run (multi-Vt
 	// assignment after sizing) under the engine's leakage policy.
 	Leakage bool `json:"leakage,omitempty"`
-	// Parallelism overrides the engine's intra-circuit parallelism
-	// policy for every cell (see OptimizeRequest.Parallelism).
-	Parallelism int `json:"parallelism,omitempty"`
 
 	// parsed caches the validated Benches netlists, index-aligned with
 	// Benches (see OptimizeRequest.parsed).
@@ -682,7 +632,7 @@ func (e *Engine) Suite(ctx context.Context, req SuiteRequest) (*SuiteResult, err
 	rows := make([]SuiteRow, len(srcs)*len(ratios))
 	err := e.fanOut(ctx, len(rows), func(i int) error {
 		src, ratio := srcs[i/len(ratios)], ratios[i%len(ratios)]
-		r, err := e.optimizeTask(ctx, OptimizeRequest{Ratio: ratio, Leakage: req.Leakage, Parallelism: req.Parallelism}, src, nil, nil)
+		r, err := e.optimizeTask(ctx, OptimizeRequest{Ratio: ratio, Leakage: req.Leakage}, src, nil, nil)
 		if err != nil {
 			return fmt.Errorf("%s@%.2f: %w", src.display, ratio, err)
 		}

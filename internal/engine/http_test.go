@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -93,9 +94,31 @@ func TestOptimizeEndpointValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing circuit: status %d", resp.StatusCode)
 	}
-	resp, _ = postJSON(t, ts.URL+"/v1/optimize", map[string]any{"circuit": "fpd", "bogus": 1})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field: status %d", resp.StatusCode)
+	// Unknown fields are rejected on every POST body, never silently
+	// ignored: a client sending parallelism, a knob the engine does not
+	// have, gets a 400 rather than a request that quietly runs without
+	// it.
+	for _, ep := range []struct {
+		path string
+		body map[string]any
+	}{
+		{"/v1/optimize", map[string]any{"circuit": "fpd"}},
+		{"/v1/sweep", map[string]any{"circuit": "fpd"}},
+		{"/v1/suite", map[string]any{"benchmarks": []string{"fpd"}}},
+	} {
+		for _, field := range []string{`bogus`, `parallelism`} {
+			req := map[string]any{field: 2}
+			for k, v := range ep.body {
+				req[k] = v
+			}
+			resp, body := postJSON(t, ts.URL+ep.path, req)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s with unknown field %q: status %d", ep.path, field, resp.StatusCode)
+			}
+			if msg, _ := body["error"].(string); !strings.Contains(msg, `unknown field "`+field+`"`) {
+				t.Fatalf("%s with unknown field %q: error %q", ep.path, field, msg)
+			}
+		}
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/optimize",
 		map[string]any{"circuit": "no-such-circuit", "wait": true})

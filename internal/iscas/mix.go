@@ -1,9 +1,8 @@
 // Mixed random-logic generator: wide, layered circuits for the
-// intra-circuit parallelism benchmarks. Where the rcaN family is deep
-// and narrow (a carry chain levelizes into thousands of levels of
-// width 4-5), mixN levelizes into a few hundred levels that are each
-// hundreds of gates wide — the shape the wavefront scheduler needs to
-// show a speedup, and the shape real random-logic blocks have.
+// large-circuit workloads. Where the rcaN family is deep and narrow (a
+// carry chain levelizes into thousands of levels of width 4-5), mixN
+// levelizes into a few hundred levels that are each hundreds of gates
+// wide — the shape real random-logic blocks have.
 package iscas
 
 import (

@@ -41,24 +41,11 @@ type Options struct {
 	// InputActivity is the toggle probability applied to primary
 	// inputs between consecutive vectors (default 0.5).
 	InputActivity float64
-	// Parallelism bounds the sharding of the word loop across
-	// goroutines (see internal/par): 0 = auto (GOMAXPROCS-capped, only
-	// for big simulations), 1 or -1 = serial, n>1 = at most n shards,
-	// n<-1 = force |n| shards bypassing the thresholds. Counts are
-	// bit-identical at every degree, so the knob is excluded from every
-	// memo key.
+	// Parallelism is ignored: every simulation runs serially.
+	//
+	// Deprecated: ignored; kept only so the benchmark module builds.
 	Parallelism int
 }
-
-// powerParallelMinWords and powerParallelMinNets gate the auto policy:
-// a simulation shards only when it spans enough 64-vector words and
-// enough nets for the fork/join and the serial stitch to pay for
-// themselves. The serial path — every small circuit — keeps the
-// historical allocation profile.
-const (
-	powerParallelMinWords = 4
-	powerParallelMinNets  = 5000
-)
 
 func (o Options) withDefaults() Options {
 	if o.FrequencyMHz <= 0 {
@@ -108,23 +95,13 @@ type Estimate struct {
 // StateProbabilities and leakage figure derived from them — are
 // bit-identical to the retained scalar reference (simulateScalar,
 // exercised by the equivalence tests).
-// When the Parallelism policy and the problem size select a sharded
-// run, the word loop is split across goroutines by contiguous word
-// ranges (simulateSharded): input words are still pre-drawn serially
-// in the historical RNG order, each shard threads its own carry chain,
-// and the one unknown toggle per (net, shard boundary) is stitched in
-// serially afterwards — so the sharded counts are bit-identical too.
 func simulate(c *netlist.Circuit, o Options) ([]*netlist.Node, []int, []int, error) {
 	order, err := c.TopoOrder()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	bound := c.IDBound()
-	words := (o.Vectors + 63) / 64
-	if shards := powerShards(o, words, bound); shards > 1 {
-		return simulateSharded(c, o, order, words, shards)
-	}
 	rng := rand.New(rand.NewSource(o.Seed))
+	bound := c.IDBound()
 
 	cur := make([]uint64, bound)   // packed values, one word per net
 	carry := make([]uint64, bound) // previous vector's value (bit 0)

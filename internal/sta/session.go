@@ -61,17 +61,10 @@ func (s *Session) SetRecorder(r Recorder) {
 	s.rec = r
 }
 
-// SetParallelism installs an intra-circuit parallelism policy (see
-// Config.Parallelism) on the session and its live analysis state. The
-// engine calls it per task, sizing the degree from idle pool capacity;
-// the knob never changes any analysis bit, so it is safe to flip
-// between rounds.
-func (s *Session) SetParallelism(n int) {
-	s.cfg.Parallelism = n
-	if s.res != nil {
-		s.res.Config.Parallelism = n
-	}
-}
+// SetParallelism does nothing: every analysis runs serially.
+//
+// Deprecated: ignored; kept only so the benchmark module builds.
+func (s *Session) SetParallelism(int) {}
 
 // Circuit returns the circuit under analysis.
 func (s *Session) Circuit() *netlist.Circuit { return s.circuit }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/gate"
+	"repro/internal/iscas"
 	"repro/internal/netlist"
 	"repro/internal/tech"
 )
@@ -357,5 +358,28 @@ func TestSessionRecorderCountsAnalyzeModes(t *testing.T) {
 	}
 	if rec.full != 2 || rec.reused != 3 {
 		t.Fatalf("nil recorder still recorded: full=%d reused=%d", rec.full, rec.reused)
+	}
+}
+
+// TestSmallCircuitStaysAllocFree pins the full re-analysis path: after
+// Invalidate, a warm session re-runs the whole forward pass on a
+// suite circuit into its reused buffers without allocating.
+func TestSmallCircuitStaysAllocFree(t *testing.T) {
+	c, err := iscas.Load("c880")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSession(c, model(), Config{})
+	if _, err := sess.Analyze(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		sess.Invalidate()
+		if _, err := sess.Analyze(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("c880 full re-analysis: %v allocs/op, want 0", allocs)
 	}
 }

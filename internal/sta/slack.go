@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/gate"
 	"repro/internal/netlist"
-	"repro/internal/par"
 )
 
 // SlackReport carries required times and slacks against a delay
@@ -71,15 +70,60 @@ func (r *Result) Slacks(tc float64) (*SlackReport, error) {
 	}
 	reqR := r.reqR[:idBound]
 	reqF := r.reqF[:idBound]
-	if workers := par.Degree(r.Config.Parallelism, len(order), staParallelMinNodes); workers > 1 {
-		r.slacksWavefront(rep, tc, reqR, reqF, workers)
-		return rep, nil
-	}
 	for i := len(order) - 1; i >= 0; i-- {
-		r.requiredAt(order[i], tc, reqR, reqF)
+		n := order[i]
+		if n.Type == gate.Output {
+			reqR[n.ID], reqF[n.ID] = tc, tc
+			continue
+		}
+		rr, rf := math.Inf(1), math.Inf(1)
+		dt := r.timing[n.ID]
+		for _, s := range n.Fanout {
+			if s.Type == gate.Output {
+				if reqR[s.ID] < rr {
+					rr = reqR[s.ID]
+				}
+				if reqF[s.ID] < rf {
+					rf = reqF[s.ID]
+				}
+				continue
+			}
+			cell := s.Cell()
+			cl := s.FanoutCap() + cell.Parasitic(s.CIn)
+			if cell.Invert {
+				// n rising → s falls; n falling → s rises.
+				if v := reqF[s.ID] - r.Model.GateDelayHLVt(cell, s.CIn, cl, dt.TauRise, s.Vt); v < rr {
+					rr = v
+				}
+				if v := reqR[s.ID] - r.Model.GateDelayLHVt(cell, s.CIn, cl, dt.TauFall, s.Vt); v < rf {
+					rf = v
+				}
+			} else {
+				if v := reqR[s.ID] - r.Model.GateDelayLHVt(cell, s.CIn, cl, dt.TauRise, s.Vt); v < rr {
+					rr = v
+				}
+				if v := reqF[s.ID] - r.Model.GateDelayHLVt(cell, s.CIn, cl, dt.TauFall, s.Vt); v < rf {
+					rf = v
+				}
+			}
+		}
+		reqR[n.ID], reqF[n.ID] = rr, rf
 	}
 	for _, n := range order {
-		sl := r.slackAt(rep, n, reqR, reqF)
+		rr, rf := reqR[n.ID], reqF[n.ID]
+		if math.IsInf(rr, 1) && math.IsInf(rf, 1) {
+			// Dangling logic: unconstrained.
+			rep.required[n.ID] = math.Inf(1)
+			rep.slack[n.ID] = math.Inf(1)
+			continue
+		}
+		var aR, aF float64
+		if n.Type != gate.Input {
+			aR, aF = r.timing[n.ID].TRise, r.timing[n.ID].TFall
+		}
+		sl := math.Min(rr-aR, rf-aF)
+		rep.required[n.ID] = math.Min(rr, rf)
+		rep.slack[n.ID] = sl
 		if sl < rep.WorstSlack {
 			rep.WorstSlack = sl
 		}
@@ -89,103 +133,6 @@ func (r *Result) Slacks(tc float64) (*SlackReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// requiredAt computes node n's required times against its fanouts'
-// (already computed, strictly higher-level) required times, writing
-// its reqR/reqF slots. Shared verbatim by the serial reverse loop and
-// the parallel reverse wavefront, so the two paths cannot diverge.
-func (r *Result) requiredAt(n *netlist.Node, tc float64, reqR, reqF []float64) {
-	if n.Type == gate.Output {
-		reqR[n.ID], reqF[n.ID] = tc, tc
-		return
-	}
-	rr, rf := math.Inf(1), math.Inf(1)
-	dt := r.timing[n.ID]
-	for _, s := range n.Fanout {
-		if s.Type == gate.Output {
-			if reqR[s.ID] < rr {
-				rr = reqR[s.ID]
-			}
-			if reqF[s.ID] < rf {
-				rf = reqF[s.ID]
-			}
-			continue
-		}
-		cell := s.Cell()
-		cl := s.FanoutCap() + cell.Parasitic(s.CIn)
-		if cell.Invert {
-			// n rising → s falls; n falling → s rises.
-			if v := reqF[s.ID] - r.Model.GateDelayHLVt(cell, s.CIn, cl, dt.TauRise, s.Vt); v < rr {
-				rr = v
-			}
-			if v := reqR[s.ID] - r.Model.GateDelayLHVt(cell, s.CIn, cl, dt.TauFall, s.Vt); v < rf {
-				rf = v
-			}
-		} else {
-			if v := reqR[s.ID] - r.Model.GateDelayLHVt(cell, s.CIn, cl, dt.TauRise, s.Vt); v < rr {
-				rr = v
-			}
-			if v := reqF[s.ID] - r.Model.GateDelayHLVt(cell, s.CIn, cl, dt.TauFall, s.Vt); v < rf {
-				rf = v
-			}
-		}
-	}
-	reqR[n.ID], reqF[n.ID] = rr, rf
-}
-
-// slackAt derives and stores node n's required time and slack from the
-// finished backward pass, returning the slack (+Inf for dangling,
-// unconstrained logic).
-func (r *Result) slackAt(rep *SlackReport, n *netlist.Node, reqR, reqF []float64) float64 {
-	rr, rf := reqR[n.ID], reqF[n.ID]
-	if math.IsInf(rr, 1) && math.IsInf(rf, 1) {
-		// Dangling logic: unconstrained.
-		rep.required[n.ID] = math.Inf(1)
-		rep.slack[n.ID] = math.Inf(1)
-		return math.Inf(1)
-	}
-	var aR, aF float64
-	if n.Type != gate.Input {
-		aR, aF = r.timing[n.ID].TRise, r.timing[n.ID].TFall
-	}
-	sl := math.Min(rr-aR, rf-aF)
-	rep.required[n.ID] = math.Min(rr, rf)
-	rep.slack[n.ID] = sl
-	return sl
-}
-
-// slacksWavefront is the parallel backward pass: a reverse wavefront
-// fills the per-edge required times (every fanout of a node sits at a
-// strictly greater level, so its slots are final before the node
-// runs), a fork-join chunked pass fills the per-node required/slack
-// arrays (no cross-node dependency at all), and a serial topo-order
-// scan replays the serial loop's WorstSlack/Violations comparison
-// sequence. The per-node math is the exact helpers the serial path
-// runs, so the report is byte-identical at any degree.
-func (r *Result) slacksWavefront(rep *SlackReport, tc float64, reqR, reqF []float64, workers int) {
-	lv := r.wavefrontLevels()
-	par.Wavefront(workers, lv.Offsets, staMinSpan, true, func(lo, hi int) {
-		for _, n := range lv.Order[lo:hi] {
-			r.requiredAt(n, tc, reqR, reqF)
-		}
-	})
-	order := r.order
-	par.Run(workers, func(i int) {
-		lo, hi := par.Chunk(i, workers, len(order))
-		for _, n := range order[lo:hi] {
-			r.slackAt(rep, n, reqR, reqF)
-		}
-	})
-	for _, n := range order {
-		sl := rep.slack[n.ID]
-		if sl < rep.WorstSlack {
-			rep.WorstSlack = sl
-		}
-		if sl < -1e-9*math.Abs(tc) {
-			rep.Violations++
-		}
-	}
 }
 
 // CriticalBySlack returns up to k logic nodes ordered by increasing

@@ -21,7 +21,6 @@ import (
 	"repro/internal/delay"
 	"repro/internal/gate"
 	"repro/internal/netlist"
-	"repro/internal/par"
 	"repro/internal/tech"
 )
 
@@ -31,25 +30,11 @@ type Config struct {
 	// input. Zero selects delay.DefaultTauIn for the model's corner.
 	InputTau float64
 
-	// Parallelism bounds the intra-circuit wavefront parallelism of
-	// the forward and backward passes (see internal/par): 0 = auto
-	// (GOMAXPROCS workers once the circuit clears the node-count
-	// threshold), 1 or -1 = serial, n>1 = at most n workers (threshold
-	// still applies), n<-1 = force |n| workers bypassing the
-	// threshold. Every degree produces byte-identical results; the
-	// knob only trades latency for cores, so it is excluded from every
-	// memo key.
+	// Parallelism is ignored: every analysis runs serially.
+	//
+	// Deprecated: ignored; kept only so the benchmark module builds.
 	Parallelism int
 }
-
-// staParallelMinNodes is the auto-policy threshold: circuits below it
-// (the whole classic suite) take the serial path, preserving its
-// zero-allocation guarantee; staMinSpan is the smallest per-worker
-// span of one level worth handing off.
-const (
-	staParallelMinNodes = 5000
-	staMinSpan          = 32
-)
 
 func (cfg Config) inputTau(p *tech.Process) float64 {
 	if cfg.InputTau > 0 {
@@ -102,13 +87,6 @@ type Result struct {
 	topo  netlist.TopoScratch
 	reqR  []float64 // backward-pass scratch (Slacks)
 	reqF  []float64
-
-	// levels is the wavefront schedule of the parallel passes, cached
-	// by structural epoch (levelsEpoch is Circuit.Epoch()+1 at
-	// levelization time; 0 = never computed). The serial paths never
-	// touch it.
-	levels      netlist.Levels
-	levelsEpoch uint64
 }
 
 // Analyze runs slope-propagating STA over the circuit. The circuit must
@@ -165,28 +143,24 @@ func (r *Result) analyze() error {
 	r.WorstDelay = math.Inf(-1)
 	r.WorstOutput = nil
 
-	if workers := par.Degree(r.Config.Parallelism, len(order), staParallelMinNodes); workers > 1 {
-		r.analyzeWavefront(tauIn, workers)
-	} else {
-		for _, n := range order {
-			switch {
-			case n.Type == gate.Input:
-				r.timing[n.ID] = NodeTiming{TauRise: tauIn, TauFall: tauIn}
-			case n.Type == gate.Output:
-				d := n.Fanin[0]
-				dt := r.timing[d.ID]
-				r.timing[n.ID] = dt
-				r.predRise[n.ID] = d
-				r.predFall[n.ID] = d
-				if dt.TRise > r.WorstDelay {
-					r.WorstDelay, r.WorstOutput, r.WorstRising = dt.TRise, n, true
-				}
-				if dt.TFall > r.WorstDelay {
-					r.WorstDelay, r.WorstOutput, r.WorstRising = dt.TFall, n, false
-				}
-			default:
-				r.analyzeGate(n)
+	for _, n := range order {
+		switch {
+		case n.Type == gate.Input:
+			r.timing[n.ID] = NodeTiming{TauRise: tauIn, TauFall: tauIn}
+		case n.Type == gate.Output:
+			d := n.Fanin[0]
+			dt := r.timing[d.ID]
+			r.timing[n.ID] = dt
+			r.predRise[n.ID] = d
+			r.predFall[n.ID] = d
+			if dt.TRise > r.WorstDelay {
+				r.WorstDelay, r.WorstOutput, r.WorstRising = dt.TRise, n, true
 			}
+			if dt.TFall > r.WorstDelay {
+				r.WorstDelay, r.WorstOutput, r.WorstRising = dt.TFall, n, false
+			}
+		default:
+			r.analyzeGate(n)
 		}
 	}
 	if r.WorstOutput == nil {
@@ -195,60 +169,6 @@ func (r *Result) analyze() error {
 	}
 	r.epoch = c.Epoch()
 	return nil
-}
-
-// wavefrontLevels returns the level schedule for the current circuit
-// structure, re-levelizing into the cached buffers only when the
-// structural epoch moved since the last levelization. The cache rides
-// on the Result owned by a Session, so a session's repeated parallel
-// passes (Analyze after Invalidate, Slacks) pay for levelization once
-// per structural epoch.
-func (r *Result) wavefrontLevels() *netlist.Levels {
-	if r.levelsEpoch != r.Circuit.Epoch()+1 {
-		netlist.LevelsInto(&r.levels, r.Circuit, r.order)
-		r.levelsEpoch = r.Circuit.Epoch() + 1
-	}
-	return &r.levels
-}
-
-// analyzeWavefront is the parallel forward pass: levels run in
-// sequence, the nodes of one level in parallel chunks. Every node
-// writes only its own dense slots and reads only fanin slots from
-// strictly lower levels, so any execution order inside a level
-// produces the same bits as the serial loop. The worst-output
-// reduction then replays the serial loop's comparison sequence (a
-// topo-order scan over the Output pseudo-nodes), keeping WorstDelay,
-// WorstOutput and WorstRising byte-identical — including ties, which
-// resolve to whichever output the serial scan saw first.
-func (r *Result) analyzeWavefront(tauIn float64, workers int) {
-	lv := r.wavefrontLevels()
-	par.Wavefront(workers, lv.Offsets, staMinSpan, false, func(lo, hi int) {
-		for _, n := range lv.Order[lo:hi] {
-			switch {
-			case n.Type == gate.Input:
-				r.timing[n.ID] = NodeTiming{TauRise: tauIn, TauFall: tauIn}
-			case n.Type == gate.Output:
-				d := n.Fanin[0]
-				r.timing[n.ID] = r.timing[d.ID]
-				r.predRise[n.ID] = d
-				r.predFall[n.ID] = d
-			default:
-				r.analyzeGate(n)
-			}
-		}
-	})
-	for _, n := range r.order {
-		if n.Type != gate.Output {
-			continue
-		}
-		dt := r.timing[n.ID]
-		if dt.TRise > r.WorstDelay {
-			r.WorstDelay, r.WorstOutput, r.WorstRising = dt.TRise, n, true
-		}
-		if dt.TFall > r.WorstDelay {
-			r.WorstDelay, r.WorstOutput, r.WorstRising = dt.TFall, n, false
-		}
-	}
 }
 
 // analyzeGate computes the worst rise/fall arrivals of a logic node.

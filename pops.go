@@ -35,7 +35,8 @@
 //	le          classic logical effort (ref. [4]) baseline
 //	store       durable content-addressed record store: checksummed
 //	            on-disk records, write-behind batching, job journal
-//	engine      concurrent batch engine, async job store, HTTP service
+//	engine      concurrent batch engine (a worker pool running one
+//	            serial task per worker), async job store, HTTP service
 //
 // Quick start:
 //
