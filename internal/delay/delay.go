@@ -35,15 +35,27 @@ import (
 // ablation studies: CoupleMiller enables the input-to-output coupling
 // term of eq. (1) and SlopeEffect enables the input-transition term.
 // Both default to on (the paper's model).
+//
+// Build a Model with NewModel: it precomputes the corner's per-Vt-class
+// drive factors, which the Vt-aware evaluation reads for every non-SVT
+// gate.
 type Model struct {
 	Proc         *tech.Process
 	CoupleMiller bool
 	SlopeEffect  bool
+
+	// driveN and driveP hold Proc.VtDriveN/VtDriveP per Vt class.
+	driveN, driveP [tech.NumVtClasses]float64
 }
 
 // NewModel returns the paper's full model on the given corner.
 func NewModel(p *tech.Process) *Model {
-	return &Model{Proc: p, CoupleMiller: true, SlopeEffect: true}
+	m := &Model{Proc: p, CoupleMiller: true, SlopeEffect: true}
+	for v := tech.VtClass(0); v < tech.NumVtClasses; v++ {
+		m.driveN[v] = p.VtDriveN(v)
+		m.driveP[v] = p.VtDriveP(v)
+	}
+	return m
 }
 
 // TransitionHL returns the falling output transition time (ps) of cell

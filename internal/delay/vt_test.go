@@ -1,6 +1,7 @@
 package delay
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/gate"
@@ -72,5 +73,38 @@ func TestVtHVTPenaltyModerate(t *testing.T) {
 	ratio := hvt / base
 	if ratio < 1.02 || ratio > 1.6 {
 		t.Fatalf("HVT/SVT delay ratio %v outside the moderate-penalty band", ratio)
+	}
+}
+
+// TestGateTermsMatchPerEdgeModel pins GateTermsVt bit for bit against
+// the per-edge Vt-aware model the STA used to call per fan-in: every
+// primitive cell, every Vt class, both ablation flags on and off.
+func TestGateTermsMatchPerEdgeModel(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, slope := range []bool{true, false} {
+		for _, miller := range []bool{true, false} {
+			m := NewModel(tech.CMOS025())
+			m.SlopeEffect, m.CoupleMiller = slope, miller
+			for _, ty := range gate.Primitives() {
+				c := gate.MustLookup(ty)
+				for _, v := range tech.VtClasses() {
+					for _, cin := range []float64{0.9, 3.4, 17.0} {
+						cl := 4.5*cin + 12.25
+						g := m.GateTermsVt(c, cin, cl, v)
+						if !same(g.TauHL, m.TransitionHLVt(c, cin, cl, v)) ||
+							!same(g.TauLH, m.TransitionLHVt(c, cin, cl, v)) {
+							t.Fatalf("%v %v cin %g (slope %v, miller %v): transitions diverged", ty, v, cin, slope, miller)
+						}
+						for _, tau := range []float64{0, 18.5, 73.0} {
+							if !same(g.DelayHL(tau), m.GateDelayHLVt(c, cin, cl, tau, v)) ||
+								!same(g.DelayLH(tau), m.GateDelayLHVt(c, cin, cl, tau, v)) {
+								t.Fatalf("%v %v cin %g tau %g (slope %v, miller %v): delays diverged",
+									ty, v, cin, tau, slope, miller)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

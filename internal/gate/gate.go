@@ -160,7 +160,17 @@ type Cell struct {
 // reduce the current degradation below n (cf. Maurine et al., TCAD
 // 2002). The values below reproduce the Flimit ordering and magnitudes
 // of the paper's Table 2 on the default 0.25 µm corner.
-var cells = map[Type]Cell{
+//
+// The composite cells (AND/OR/XOR/XNOR) are macros over the primitives;
+// they are expanded by netlist elaboration and never reach the delay
+// model, but Lookup still returns a personality for them (their
+// primitive front stage) so partially elaborated netlists remain
+// analyzable.
+//
+// The table is indexed by Type: Node.Cell serves every timing query of
+// the STA and the path solvers from it. Entries outside IsLogic are
+// zero and never returned.
+var library = [numTypes]Cell{
 	Inv:   {Type: Inv, FanIn: 1, Invert: true, DWHL: 1.0, DWLH: 1.0, ParasiticFactor: 1.0, StackN: 1, StackP: 1},
 	Buf:   {Type: Buf, FanIn: 1, Invert: false, DWHL: 1.0, DWLH: 1.0, ParasiticFactor: 1.9, StackN: 1, StackP: 1},
 	Nand2: {Type: Nand2, FanIn: 2, Invert: true, DWHL: 1.60, DWLH: 1.10, ParasiticFactor: 1.5, StackN: 2, StackP: 1},
@@ -169,13 +179,7 @@ var cells = map[Type]Cell{
 	Nor2:  {Type: Nor2, FanIn: 2, Invert: true, DWHL: 1.10, DWLH: 1.80, ParasiticFactor: 1.6, StackN: 1, StackP: 2},
 	Nor3:  {Type: Nor3, FanIn: 3, Invert: true, DWHL: 1.15, DWLH: 2.60, ParasiticFactor: 2.3, StackN: 1, StackP: 3},
 	Nor4:  {Type: Nor4, FanIn: 4, Invert: true, DWHL: 1.20, DWLH: 3.40, ParasiticFactor: 3.1, StackN: 1, StackP: 4},
-}
 
-// composite cells (AND/OR/XOR/XNOR) are macros over the primitives; they
-// are expanded by netlist elaboration and never reach the delay model,
-// but Lookup still returns a personality for them (their primitive
-// front stage) so partially elaborated netlists remain analyzable.
-var composites = map[Type]Cell{
 	And2:  {Type: And2, FanIn: 2, Invert: false, DWHL: 1.60, DWLH: 1.10, ParasiticFactor: 2.5, StackN: 2, StackP: 1},
 	And3:  {Type: And3, FanIn: 3, Invert: false, DWHL: 2.20, DWLH: 1.20, ParasiticFactor: 3.1, StackN: 3, StackP: 1},
 	And4:  {Type: And4, FanIn: 4, Invert: false, DWHL: 2.80, DWLH: 1.30, ParasiticFactor: 3.8, StackN: 4, StackP: 1},
@@ -189,23 +193,19 @@ var composites = map[Type]Cell{
 // Lookup returns the cell personality for a type. It returns an error
 // for pseudo-cells (Input/Output) and unknown types.
 func Lookup(t Type) (Cell, error) {
-	if c, ok := cells[t]; ok {
-		return c, nil
+	if !IsLogic(t) {
+		return Cell{}, fmt.Errorf("gate: type %v has no cell personality", t)
 	}
-	if c, ok := composites[t]; ok {
-		return c, nil
-	}
-	return Cell{}, fmt.Errorf("gate: type %v has no cell personality", t)
+	return library[t], nil
 }
 
 // MustLookup is Lookup for callers that have already validated the type.
 // It panics on unknown types.
 func MustLookup(t Type) Cell {
-	c, err := Lookup(t)
-	if err != nil {
-		panic(err)
+	if !IsLogic(t) {
+		panic(fmt.Errorf("gate: type %v has no cell personality", t))
 	}
-	return c
+	return library[t]
 }
 
 // Primitives returns the primitive (directly characterized) cell types
@@ -221,10 +221,7 @@ func Composites() []Type {
 
 // IsPrimitive reports whether t is directly characterized (reaches the
 // delay model without macro expansion).
-func IsPrimitive(t Type) bool {
-	_, ok := cells[t]
-	return ok
-}
+func IsPrimitive(t Type) bool { return Inv <= t && t <= Nor4 }
 
 // IsLogic reports whether t is a logic cell (primitive or composite),
 // as opposed to an Input/Output pseudo-cell.
@@ -232,10 +229,7 @@ func IsLogic(t Type) bool {
 	return IsPrimitive(t) || isComposite(t)
 }
 
-func isComposite(t Type) bool {
-	_, ok := composites[t]
-	return ok
-}
+func isComposite(t Type) bool { return And2 <= t && t <= Xnor2 }
 
 // SHL returns the eq. (3) symmetry factor of the falling output edge for
 // cell c under process p: S_HL = S0·(1+k)·DW_HL.
@@ -414,30 +408,32 @@ func anyTrue(in []bool) bool {
 	return false
 }
 
+// Variable fan-in families, indexed by fan-in (1..4).
+var (
+	nandFamily = [...]Type{Invalid, Inv, Nand2, Nand3, Nand4}
+	norFamily  = [...]Type{Invalid, Inv, Nor2, Nor3, Nor4}
+	andFamily  = [...]Type{Invalid, Buf, And2, And3, And4}
+	orFamily   = [...]Type{Invalid, Buf, Or2, Or3, Or4}
+)
+
 // VariantWithFanIn returns the cell of the same family as t with the
 // requested fan-in (e.g. Nand-family, 3 → Nand3). ok=false when the
 // family has no such member.
 func VariantWithFanIn(t Type, n int) (Type, bool) {
-	family := map[Type][]Type{
-		Nand2: {Invalid, Inv, Nand2, Nand3, Nand4},
-		Nor2:  {Invalid, Inv, Nor2, Nor3, Nor4},
-		And2:  {Invalid, Buf, And2, And3, And4},
-		Or2:   {Invalid, Buf, Or2, Or3, Or4},
-	}
-	var fam []Type
+	var fam *[5]Type
 	switch t {
 	case Nand2, Nand3, Nand4:
-		fam = family[Nand2]
+		fam = &nandFamily
 	case Nor2, Nor3, Nor4:
-		fam = family[Nor2]
+		fam = &norFamily
 	case And2, And3, And4:
-		fam = family[And2]
+		fam = &andFamily
 	case Or2, Or3, Or4:
-		fam = family[Or2]
+		fam = &orFamily
 	default:
 		return Invalid, false
 	}
-	if n < 1 || n >= len(fam) || fam[n] == Invalid {
+	if n < 1 || n >= len(fam) {
 		return Invalid, false
 	}
 	return fam[n], true

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/delay"
+	"repro/internal/gate"
 	"repro/internal/iscas"
 	"repro/internal/netlist"
 	"repro/internal/tech"
@@ -41,16 +42,127 @@ func TestIncrementalMatchesFullAnalysis(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(res.WorstDelay-fresh.WorstDelay) > 1e-9*fresh.WorstDelay {
-			t.Fatalf("trial %d: incremental %g vs fresh %g", trial, res.WorstDelay, fresh.WorstDelay)
+		assertSameAnalysis(t, c, res, fresh)
+	}
+}
+
+// assertSameAnalysis fails unless res and fresh agree to the last bit:
+// every node's timing, the worst endpoint and the critical path.
+func assertSameAnalysis(t *testing.T, c *netlist.Circuit, res, fresh *Result) {
+	t.Helper()
+	for _, n := range c.Nodes {
+		a, b := res.Timing(n), fresh.Timing(n)
+		if math.Float64bits(a.TRise) != math.Float64bits(b.TRise) ||
+			math.Float64bits(a.TFall) != math.Float64bits(b.TFall) ||
+			math.Float64bits(a.TauRise) != math.Float64bits(b.TauRise) ||
+			math.Float64bits(a.TauFall) != math.Float64bits(b.TauFall) {
+			t.Fatalf("node %s diverged: incremental %+v vs fresh %+v", n.Name, a, b)
 		}
-		for _, n := range c.Gates() {
-			a, b := res.Timing(n), fresh.Timing(n)
-			if math.Abs(a.TRise-b.TRise) > 1e-9*math.Max(1, b.TRise) ||
-				math.Abs(a.TFall-b.TFall) > 1e-9*math.Max(1, b.TFall) {
-				t.Fatalf("trial %d: node %s diverged: %+v vs %+v", trial, n.Name, a, b)
+	}
+	if math.Float64bits(res.WorstDelay) != math.Float64bits(fresh.WorstDelay) ||
+		res.WorstOutput != fresh.WorstOutput || res.WorstRising != fresh.WorstRising {
+		t.Fatalf("worst endpoint diverged: incremental %g at %v (rising %v) vs fresh %g at %v (rising %v)",
+			res.WorstDelay, res.WorstOutput, res.WorstRising, fresh.WorstDelay, fresh.WorstOutput, fresh.WorstRising)
+	}
+	a, b := res.CriticalNodes(), fresh.CriticalNodes()
+	if len(a) != len(b) {
+		t.Fatalf("critical path length diverged: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("critical path diverged at stage %d: %s vs %s", i, a[i].Name, b[i].Name)
+		}
+	}
+}
+
+// scanUpdate is the reference cone repair: a scan of the whole
+// topological order recomputing every dirty node. Update's worklist
+// must visit exactly the nodes it visits.
+func scanUpdate(r *Result, changed *netlist.Node) int {
+	dirty := make([]bool, len(r.timing))
+	dirty[changed.ID] = true
+	for _, f := range changed.Fanin {
+		dirty[f.ID] = true
+	}
+	recomputed := 0
+	for _, n := range r.order {
+		if !dirty[n.ID] {
+			continue
+		}
+		old := r.timing[n.ID]
+		switch n.Type {
+		case gate.Input:
+			tau := r.Config.inputTau(r.Model.Proc)
+			r.timing[n.ID] = NodeTiming{TauRise: tau, TauFall: tau}
+		case gate.Output:
+			r.timing[n.ID] = r.timing[n.Fanin[0].ID]
+		default:
+			r.analyzeGate(n)
+		}
+		recomputed++
+		if old != r.timing[n.ID] {
+			for _, s := range n.Fanout {
+				dirty[s.ID] = true
 			}
 		}
+	}
+	return recomputed
+}
+
+func TestIncrementalVtMovesMatchFullAnalysis(t *testing.T) {
+	// The multi-Vt pass's access pattern: promote one gate, Update, and
+	// on a timing violation restore the class and Update again, with a
+	// resize every fourth move. After
+	// every move the repaired analysis must equal a fresh Analyze bit
+	// for bit, and each Update must recompute exactly the nodes the
+	// whole-order scan would.
+	m := delay.NewModel(tech.CMOS025())
+	c, err := iscas.MixedLogic(400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Analyze(c, m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Analyze(c, m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	update := func(g *netlist.Node) {
+		t.Helper()
+		got, err := res.Update(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := scanUpdate(ref, g); got != want {
+			t.Fatalf("Update of %s recomputed %d nodes, the full-order scan %d", g.Name, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	gates := c.Gates()
+	classes := tech.VtClasses()
+	for move := 0; move < 300; move++ {
+		g := gates[rng.Intn(len(gates))]
+		if move%4 == 3 {
+			// A resize also moves the drivers' load: the sizing
+			// rounds' pattern, seeding the fanins as well.
+			g.CIn = m.Proc.ClampCap(m.Proc.CRef * math.Exp(rng.Float64()*3))
+			update(g)
+			continue
+		}
+		prev := g.Vt
+		g.Vt = classes[rng.Intn(len(classes))]
+		update(g)
+		if rng.Intn(3) == 0 {
+			g.Vt = prev
+			update(g)
+		}
+		fresh, err := Analyze(c, m, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameAnalysis(t, c, res, fresh)
 	}
 }
 

@@ -79,14 +79,19 @@ type Result struct {
 	predRise []*netlist.Node
 	predFall []*netlist.Node
 
-	// order caches the topological order for incremental updates.
+	// order caches the topological order for incremental updates; pos
+	// is its inverse, indexed by Node.ID.
 	order []*netlist.Node
+	pos   []int
 
-	// Scratch reused across incremental updates and re-analyses.
-	dirty []bool
-	topo  netlist.TopoScratch
-	reqR  []float64 // backward-pass scratch (Slacks)
-	reqF  []float64
+	// Scratch reused across incremental updates and re-analyses: the
+	// dirty bitset over topological positions and the bounds of its
+	// marked range (incremental.go); all-clear between updates.
+	dirty  []uint64
+	lo, hi int
+	topo   netlist.TopoScratch
+	reqR   []float64 // backward-pass scratch (Slacks)
+	reqF   []float64
 }
 
 // Analyze runs slope-propagating STA over the circuit. The circuit must
@@ -109,18 +114,21 @@ func (r *Result) grow() {
 		r.timing = make([]NodeTiming, n)
 		r.predRise = make([]*netlist.Node, n)
 		r.predFall = make([]*netlist.Node, n)
-		r.dirty = make([]bool, n)
+		r.pos = make([]int, n)
+		r.dirty = make([]uint64, (n+63)/64)
 	}
 	r.timing = r.timing[:n]
 	r.predRise = r.predRise[:n]
 	r.predFall = r.predFall[:n]
-	r.dirty = r.dirty[:n]
+	r.pos = r.pos[:n]
+	r.dirty = r.dirty[:(n+63)/64]
 	for i := range r.timing {
 		r.timing[i] = NodeTiming{}
 		r.predRise[i] = nil
 		r.predFall[i] = nil
-		r.dirty[i] = false
 	}
+	clear(r.dirty)
+	r.lo, r.hi = math.MaxInt, -1
 }
 
 // analyze (re)runs the full forward pass in place, reusing the
@@ -143,7 +151,8 @@ func (r *Result) analyze() error {
 	r.WorstDelay = math.Inf(-1)
 	r.WorstOutput = nil
 
-	for _, n := range order {
+	for i, n := range order {
+		r.pos[n.ID] = i
 		switch {
 		case n.Type == gate.Input:
 			r.timing[n.ID] = NodeTiming{TauRise: tauIn, TauFall: tauIn}
@@ -173,14 +182,15 @@ func (r *Result) analyze() error {
 
 // analyzeGate computes the worst rise/fall arrivals of a logic node.
 // Delays and transitions honor the node's Vt class; for the default SVT
-// class the Vt-aware model delegates bit-exactly to the base model.
+// class the Vt-aware model delegates bit-exactly to the base model. The
+// gate-level terms are evaluated once and each fan-in adds its slope
+// term, which equals the per-fan-in GateDelayHLVt/LHVt bit for bit.
 //
 //pops:noalloc
 func (r *Result) analyzeGate(n *netlist.Node) {
 	cell := n.Cell()
 	cl := n.FanoutCap() + cell.Parasitic(n.CIn)
-	tauF := r.Model.TransitionHLVt(cell, n.CIn, cl, n.Vt)
-	tauR := r.Model.TransitionLHVt(cell, n.CIn, cl, n.Vt)
+	g := r.Model.GateTermsVt(cell, n.CIn, cl, n.Vt)
 
 	tFall, tRise := math.Inf(-1), math.Inf(-1)
 	var pFall, pRise *netlist.Node
@@ -188,24 +198,24 @@ func (r *Result) analyzeGate(n *netlist.Node) {
 		dt := r.timing[d.ID]
 		if cell.Invert {
 			// Input rising → output falling.
-			if t := dt.TRise + r.Model.GateDelayHLVt(cell, n.CIn, cl, dt.TauRise, n.Vt); t > tFall {
+			if t := dt.TRise + g.DelayHL(dt.TauRise); t > tFall {
 				tFall, pFall = t, d
 			}
 			// Input falling → output rising.
-			if t := dt.TFall + r.Model.GateDelayLHVt(cell, n.CIn, cl, dt.TauFall, n.Vt); t > tRise {
+			if t := dt.TFall + g.DelayLH(dt.TauFall); t > tRise {
 				tRise, pRise = t, d
 			}
 		} else {
 			// Non-inverting (BUF): edges preserved.
-			if t := dt.TFall + r.Model.GateDelayHLVt(cell, n.CIn, cl, dt.TauFall, n.Vt); t > tFall {
+			if t := dt.TFall + g.DelayHL(dt.TauFall); t > tFall {
 				tFall, pFall = t, d
 			}
-			if t := dt.TRise + r.Model.GateDelayLHVt(cell, n.CIn, cl, dt.TauRise, n.Vt); t > tRise {
+			if t := dt.TRise + g.DelayLH(dt.TauRise); t > tRise {
 				tRise, pRise = t, d
 			}
 		}
 	}
-	r.timing[n.ID] = NodeTiming{TRise: tRise, TFall: tFall, TauRise: tauR, TauFall: tauF}
+	r.timing[n.ID] = NodeTiming{TRise: tRise, TFall: tFall, TauRise: g.TauLH, TauFall: g.TauHL}
 	r.predRise[n.ID] = pRise
 	r.predFall[n.ID] = pFall
 }
