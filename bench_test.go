@@ -430,7 +430,7 @@ func BenchmarkSequentialSuite(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				out, err := proto.OptimizeCircuit(c, ratio*bounds.Tmin)
+				out, err := proto.Optimize(context.Background(), proto.NewTimingSession(c), ratio*bounds.Tmin, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

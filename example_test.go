@@ -64,7 +64,7 @@ func ExampleEquivalent() {
 	proto, _ := pops.NewProtocol(pops.ProtocolConfig{Model: model})
 	path, _, _ := pops.CriticalPath(adder, model)
 	b, _ := pops.Bounds(model, path.Clone())
-	out, _ := proto.OptimizeCircuit(adder, 1.4*b.Tmin)
+	out, _ := proto.Optimize(context.Background(), proto.NewTimingSession(adder), 1.4*b.Tmin, nil)
 
 	ce, _ := pops.Equivalent(original, adder, 0, 1) // exhaustive: 9 inputs
 	fmt.Println("feasible:", out.Feasible)
@@ -97,18 +97,18 @@ func ExampleNewEngine() {
 	// looser constraints never cost more area: true
 }
 
-// ExampleProtocol_OptimizeWithLeakage shows the leakage-aware flow:
-// the Fig. 7 protocol sizes the circuit to Tc, then the selective
-// multi-Vt pass promotes non-critical gates to high-threshold devices,
-// cutting subthreshold leakage without violating the constraint.
-func ExampleProtocol_OptimizeWithLeakage() {
+// ExampleProtocol_Optimize shows the leakage-aware flow: the Fig. 7
+// protocol sizes the circuit to Tc, then the selective multi-Vt pass
+// promotes non-critical gates to high-threshold devices, cutting
+// subthreshold leakage without violating the constraint.
+func ExampleProtocol_Optimize() {
 	model := pops.NewModel(pops.DefaultProcess())
 	circuit, _ := pops.Benchmark("fpd")
 	path, _, _ := pops.CriticalPath(circuit, model)
 	b, _ := pops.Bounds(model, path.Clone())
 
 	proto, _ := pops.NewProtocol(pops.ProtocolConfig{Model: model})
-	out, _ := proto.OptimizeWithLeakage(context.Background(), circuit, 1.5*b.Tmin, pops.LeakageOptions{})
+	out, _ := proto.Optimize(context.Background(), proto.NewTimingSession(circuit), 1.5*b.Tmin, &pops.LeakageOptions{})
 
 	lr := out.Leakage
 	fmt.Println("constraint met:", out.Feasible && out.Delay <= 1.5*b.Tmin)

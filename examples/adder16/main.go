@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,7 @@ func main() {
 		log.Fatal(err)
 	}
 	tc := 1.25 * bounds.Tmin
-	out, err := proto.OptimizeCircuit(adder, tc)
+	out, err := proto.Optimize(context.Background(), proto.NewTimingSession(adder), tc, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -192,10 +192,11 @@ func TestOptimizeStepInstrumentedAllocationFree(t *testing.T) {
 	}
 }
 
-// TestWorkspaceRoundMatchesPlainStep guards the equivalence of the two
-// step paths: the exported workspace-free OptimizeStep and the session
-// loop's workspace-backed rounds must produce identical outcomes on
-// identical circuits.
+// TestWorkspaceRoundMatchesPlainStep guards against state leaking
+// between rounds through the step workspace: the exported OptimizeStep
+// (a fresh workspace per call) and rounds sharing one workspace reused
+// across rounds, as Optimize runs them, must produce identical outcomes
+// on identical circuits.
 func TestWorkspaceRoundMatchesPlainStep(t *testing.T) {
 	m := delay.NewModel(tech.CMOS025())
 	p, err := NewProtocol(Config{Model: m})

@@ -12,11 +12,12 @@
 //	    hard   (Tc < 1.2·Tmin)   → buffer insertion & global sizing
 //
 // The path-level entry point OptimizePath realizes the decision diagram
-// on a bounded path; the circuit-level driver OptimizeCircuit iterates
+// on a bounded path; the circuit-level driver Protocol.Optimize iterates
 // it over the worst paths of a netlist, replaying buffer insertions as
 // logic-preserving inverter pairs and escalating to NOR→NAND
 // restructuring when the constraint is below the buffered minimum
-// delay.
+// delay, then optionally runs the selective multi-Vt pass of
+// internal/leakage on the same timing session.
 package core
 
 import (
@@ -154,11 +155,11 @@ type PathOutcome struct {
 	Path     *delay.Path
 }
 
-// stepWorkspace is the reusable per-round scratch of the session
-// driver: path copies, critical-node and sizing buffers, and the
-// StepResult/PathOutcome values themselves. One workspace serves one
-// OptimizeSession run (and must not be shared across goroutines), so a
-// steady-state size-only round performs no heap allocation — pinned by
+// stepWorkspace is the per-round scratch of the circuit driver: path
+// copies, critical-node and sizing buffers, and the StepResult/PathOutcome
+// values themselves. One workspace serves one Optimize run (and must not
+// be shared across goroutines), so a steady-state size-only round
+// performs no heap allocation — pinned by
 // TestOptimizeStepSteadyStateAllocationFree. Structural rounds (buffer
 // replay, De Morgan rewrites) still allocate for their mutations.
 type stepWorkspace struct {
@@ -174,10 +175,9 @@ type stepWorkspace struct {
 	pathNames []string // per-round path names, formatted once up front
 }
 
-// roundName returns the "<circuit>/round<N>" path name for a round,
-// identical to the workspace-free OptimizeStep's naming. All MaxRounds
-// names are formatted on first use, so steady-state rounds pay no
-// Sprintf; indices past the precomputed window (possible only for
+// roundName returns the "<circuit>/round<N>" path name for a round.
+// All MaxRounds names are formatted on first use, so steady-state rounds
+// pay no Sprintf; indices past the precomputed window (possible only for
 // external drivers that loop beyond MaxRounds) fall back to formatting.
 func (ws *stepWorkspace) roundName(circuit string, round, maxRounds int) string {
 	if ws.pathNames == nil {
@@ -200,35 +200,27 @@ func (ws *stepWorkspace) roundName(circuit string, round, maxRounds int) string 
 // constraint tc. The input path is not modified; the outcome carries
 // the optimized copy.
 func (p *Protocol) OptimizePath(pa *delay.Path, tc float64) (*PathOutcome, error) {
-	return p.optimizePath(nil, pa, tc)
+	return p.optimizePath(&stepWorkspace{}, pa, tc)
 }
 
-// optimizePath is OptimizePath over an optional workspace. With ws set,
-// path copies and sizing results live in reused buffers, the sizing
-// iteration trace is suppressed (pure observation — identical numbers),
-// and the returned outcome points into the workspace: it is valid until
-// the next round. The buffering optimizer keeps allocating its own
-// structures either way (its calls receive a workspace-free Options so
-// its internal sizing runs cannot alias the round's live results).
+// optimizePath is OptimizePath over a workspace: path copies and sizing
+// results live in its buffers, the sizing iteration trace is suppressed
+// (pure observation — identical numbers), and the returned outcome
+// points into the workspace: it is valid until the next round. The
+// buffering optimizer allocates its own structures (its calls receive a
+// workspace-free Options so its internal sizing runs cannot alias the
+// round's live results).
 //
-//pops:noalloc with a workspace every per-round copy lands in reused buffers
+//pops:noalloc every per-round copy lands in reused buffers
 func (p *Protocol) optimizePath(ws *stepWorkspace, pa *delay.Path, tc float64) (*PathOutcome, error) {
 	m := p.cfg.Model
 	opts := p.cfg.Sizing
-	var out *PathOutcome
-	var tmaxPath, work *delay.Path
-	if ws != nil {
-		opts.NoTrace = true
-		opts.Workspace = &ws.sizing
-		tmaxPath = pa.CopyInto(&ws.tmaxPath)
-		work = pa.CopyInto(&ws.work)
-		out = &ws.outcome
-		*out = PathOutcome{}
-	} else {
-		tmaxPath = pa.Clone()
-		work = pa.Clone()
-		out = &PathOutcome{} //popslint:ignore noalloc workspace-free convenience path (OptimizePath API), not the measured loop
-	}
+	opts.NoTrace = true
+	opts.Workspace = &ws.sizing
+	tmaxPath := pa.CopyInto(&ws.tmaxPath)
+	work := pa.CopyInto(&ws.work)
+	out := &ws.outcome
+	*out = PathOutcome{}
 	bufOpts := opts
 	bufOpts.Workspace = nil
 
@@ -255,7 +247,7 @@ func (p *Protocol) optimizePath(ws *stepWorkspace, pa *delay.Path, tc float64) (
 	case Medium:
 		// Sizing meets the constraint; buffer insertion may do so at
 		// lower area (load dilution lets the gates shrink).
-		plain := clonePlain(ws, pa)
+		plain := pa.CopyInto(&ws.plain)
 		resPlain, err := sizing.Distribute(m, plain, tc, opts)
 		if err != nil {
 			return nil, err
@@ -269,7 +261,7 @@ func (p *Protocol) optimizePath(ws *stepWorkspace, pa *delay.Path, tc float64) (
 		return out, nil
 
 	case Hard:
-		plain := clonePlain(ws, pa)
+		plain := pa.CopyInto(&ws.plain)
 		resPlain, err := sizing.Distribute(m, plain, tc, opts)
 		if err != nil {
 			return nil, err
@@ -305,15 +297,6 @@ func (p *Protocol) optimizePath(ws *stepWorkspace, pa *delay.Path, tc float64) (
 	}
 }
 
-// clonePlain copies pa into the workspace's plain-sizing buffer, or
-// clones it fresh without a workspace.
-func clonePlain(ws *stepWorkspace, pa *delay.Path) *delay.Path {
-	if ws != nil {
-		return pa.CopyInto(&ws.plain)
-	}
-	return pa.Clone()
-}
-
 //pops:noalloc
 func (o *PathOutcome) fill(method string, pa *delay.Path, d, a float64, buffers int, feasible bool) {
 	o.Method = method
@@ -339,8 +322,8 @@ type CircuitOutcome struct {
 	NorRewrites  int // NOR gates replaced by NAND duals
 	PathOutcomes []*PathOutcome
 
-	// Leakage reports the selective Vt-assignment pass when the run
-	// was leakage-aware (OptimizeWithLeakage); nil otherwise.
+	// Leakage reports the selective Vt-assignment pass when Optimize
+	// ran with leakage options; nil otherwise.
 	Leakage *leakage.Result
 }
 
@@ -374,10 +357,10 @@ type StepResult struct {
 // progress until the whole path set converges. Capped at 2%.
 const stepSlack = 5e-4
 
-// NewTimingSession builds the reusable incremental-STA session the
-// round-loop entry points below share: one session per circuit, its
-// buffers recycled across every round, full re-analysis only when the
-// circuit's structural epoch moves.
+// NewTimingSession builds the reusable incremental-STA session Optimize
+// and the step drivers run on: one session per circuit, its buffers
+// recycled across every round, full re-analysis only when the circuit's
+// structural epoch moves.
 func (p *Protocol) NewTimingSession(c *netlist.Circuit) *sta.Session {
 	return sta.NewSession(c, p.cfg.Model, p.cfg.STA)
 }
@@ -388,7 +371,7 @@ func (p *Protocol) NewTimingSession(c *netlist.Circuit) *sta.Session {
 // the sizes back, replay inserted buffers as inverter pairs, and
 // escalate to De Morgan NOR rewrites when the path protocol cannot
 // reach Tc. The round index selects the tightening margin; callers
-// iterating from zero reproduce OptimizeCircuit exactly. The session's
+// iterating from zero reproduce Optimize's rounds exactly. The session's
 // circuit is modified in place.
 //
 // Size-only rounds repair the session's timing with an incremental
@@ -397,22 +380,21 @@ func (p *Protocol) NewTimingSession(c *netlist.Circuit) *sta.Session {
 // into the session's reused buffers. Either way the timing handed to
 // the following round is bit-identical to a fresh full analysis.
 //
-// Exporting the step lets external drivers — notably the concurrent
-// batch engine in internal/engine — interleave rounds with
-// cancellation checks and progress reporting while remaining
-// result-identical to OptimizeCircuit.
+// Each call runs on a fresh workspace, so the result stays valid; the
+// exported step lets external drivers (tracing replays, tests) observe
+// every round while remaining result-identical to Optimize.
 func (p *Protocol) OptimizeStep(sess *sta.Session, tc float64, round int) (*StepResult, error) {
-	return p.optimizeStep(nil, sess, tc, round)
+	return p.optimizeStep(&stepWorkspace{}, sess, tc, round)
 }
 
-// optimizeStep is OptimizeStep over an optional workspace: with ws set,
-// the critical path, its bounded-path object, the sizing scratch and
-// the returned StepResult/PathOutcome all live in reused buffers, so a
-// size-only round allocates nothing. The returned result is valid
-// until the next optimizeStep call with the same workspace — the
-// session loop copies what it keeps.
+// optimizeStep is OptimizeStep over a workspace: the critical path, its
+// bounded-path object, the sizing scratch and the returned
+// StepResult/PathOutcome all live in reused buffers, so a size-only
+// round allocates nothing. The returned result is valid until the next
+// optimizeStep call with the same workspace — Optimize copies what it
+// keeps.
 //
-//pops:noalloc size-only rounds with a workspace are the measured zero-alloc path
+//pops:noalloc size-only rounds are the measured zero-alloc path
 func (p *Protocol) optimizeStep(ws *stepWorkspace, sess *sta.Session, tc float64, round int) (*StepResult, error) {
 	m := p.cfg.Model
 	c := sess.Circuit()
@@ -420,13 +402,8 @@ func (p *Protocol) optimizeStep(ws *stepWorkspace, sess *sta.Session, tc float64
 	if err != nil {
 		return nil, err
 	}
-	var st *StepResult
-	if ws != nil {
-		st = &ws.step
-		*st = StepResult{}
-	} else {
-		st = &StepResult{} //popslint:ignore noalloc workspace-free convenience path (OptimizeStep API), not the measured loop
-	}
+	st := &ws.step
+	*st = StepResult{}
 	st.WorstDelay = res.WorstDelay
 	if res.WorstDelay <= tc {
 		st.Met = true
@@ -437,33 +414,16 @@ func (p *Protocol) optimizeStep(ws *stepWorkspace, sess *sta.Session, tc float64
 		tighten = 0.02
 	}
 	tcEff := tc * (1 - tighten)
-	var pa *delay.Path
-	if ws != nil {
-		ws.crit = res.AppendCriticalNodes(ws.crit)
-		if len(ws.crit) == 0 {
-			//popslint:ignore noalloc degenerate-circuit error path
-			return nil, fmt.Errorf("core: circuit %s has no critical path", c.Name)
-		}
-		name := ws.roundName(c.Name, round, p.cfg.MaxRounds)
-		if err := sta.PathFromNodesInto(&ws.path, name, ws.crit, m, p.cfg.STA); err != nil {
-			return nil, err
-		}
-		pa = &ws.path
-	} else {
-		// Workspace-free convenience path (OptimizeStep API): allocation
-		// here is expected, only the ws branch above is measured.
-		nodes := res.CriticalNodes()
-		if len(nodes) == 0 {
-			//popslint:ignore noalloc degenerate-circuit error path
-			return nil, fmt.Errorf("core: circuit %s has no critical path", c.Name)
-		}
-		//popslint:ignore noalloc workspace-free path names its round ad hoc
-		pa, err = sta.PathFromNodes(fmt.Sprintf("%s/round%d", c.Name, round), nodes, m, p.cfg.STA)
-		if err != nil {
-			return nil, err
-		}
+	ws.crit = res.AppendCriticalNodes(ws.crit)
+	if len(ws.crit) == 0 {
+		//popslint:ignore noalloc degenerate-circuit error path
+		return nil, fmt.Errorf("core: circuit %s has no critical path", c.Name)
 	}
-	po, err := p.optimizePath(ws, pa, tcEff)
+	name := ws.roundName(c.Name, round, p.cfg.MaxRounds)
+	if err := sta.PathFromNodesInto(&ws.path, name, ws.crit, m, p.cfg.STA); err != nil {
+		return nil, err
+	}
+	po, err := p.optimizePath(ws, &ws.path, tcEff)
 	if err != nil {
 		return nil, err
 	}
@@ -479,9 +439,12 @@ func (p *Protocol) optimizeStep(ws *stepWorkspace, sess *sta.Session, tc float64
 	}
 	st.Buffers = inserted
 
+	// The path's original stages: the De Morgan candidates below and
+	// the nodes the incremental update repairs.
+	ws.changed = appendLogicNodes(ws.changed[:0], po.Path)
 	if !po.Feasible {
 		// Structure modification: De Morgan the path's NORs.
-		rep, err := restructure.RewritePathNORs(c, logicNodes(po.Path))
+		rep, err := restructure.RewritePathNORs(c, ws.changed)
 		if err != nil {
 			return nil, err
 		}
@@ -493,11 +456,7 @@ func (p *Protocol) optimizeStep(ws *stepWorkspace, sess *sta.Session, tc float64
 	// gates; after structural mutations the epoch has moved and the next
 	// Analyze re-propagates the whole circuit into the same buffers.
 	if res.Fresh() {
-		changed := appendLogicNodes(wsChanged(ws), po.Path)
-		if ws != nil {
-			ws.changed = changed
-		}
-		if _, err := res.Update(changed...); err != nil {
+		if _, err := res.Update(ws.changed...); err != nil {
 			return nil, err
 		}
 	}
@@ -505,19 +464,10 @@ func (p *Protocol) optimizeStep(ws *stepWorkspace, sess *sta.Session, tc float64
 	return st, nil
 }
 
-// wsChanged returns the workspace's incremental-update buffer
-// (truncated), or nil without a workspace.
-func wsChanged(ws *stepWorkspace) []*netlist.Node {
-	if ws == nil {
-		return nil
-	}
-	return ws.changed[:0]
-}
-
 // Summarize closes a stepped run: it re-analyzes the circuit (served
 // from the session's incremental state when still fresh) and fills the
 // outcome's final delay, feasibility and area. External step drivers
-// call it after their round loop; OptimizeCircuit uses it for its own
+// call it after their round loop; Optimize uses it for its own
 // epilogue.
 func (p *Protocol) Summarize(sess *sta.Session, out *CircuitOutcome) error {
 	res, err := sess.Analyze()
@@ -530,35 +480,33 @@ func (p *Protocol) Summarize(sess *sta.Session, out *CircuitOutcome) error {
 	return nil
 }
 
-// OptimizeCircuit drives the protocol over a netlist: repeatedly
-// extract the worst path, run the path protocol, write the sizes back,
-// replay buffer insertions as logic-preserving inverter pairs, and —
-// when even buffering cannot reach Tc — rewrite the path's NOR gates by
-// De Morgan duals before retrying. The circuit is modified in place;
-// clone first to keep the original.
-func (p *Protocol) OptimizeCircuit(c *netlist.Circuit, tc float64) (*CircuitOutcome, error) {
-	return p.OptimizeCircuitContext(context.Background(), c, tc)
-}
-
-// OptimizeCircuitContext is OptimizeCircuit with cancellation between
-// rounds: it builds one timing session for the circuit and runs the
-// session driver below.
-func (p *Protocol) OptimizeCircuitContext(ctx context.Context, c *netlist.Circuit, tc float64) (*CircuitOutcome, error) {
-	return p.OptimizeSession(ctx, p.NewTimingSession(c), tc)
-}
-
-// OptimizeSession is the round loop shared by the sequential path and
-// the concurrent engine: both accumulate outcomes through the exact
-// same steps over one reusable timing session, so results are
-// byte-identical regardless of the driver. The session (usually from
-// NewTimingSession) must be configured like the protocol's own STA.
+// Optimize drives the protocol over the session's circuit against
+// constraint tc (ps): repeatedly extract the worst path, run the path
+// protocol, write the sizes back, replay buffer insertions as
+// logic-preserving inverter pairs, and — when even buffering cannot
+// reach Tc — rewrite the path's NOR gates by De Morgan duals before
+// retrying. Cancellation is honored between rounds. The circuit is
+// modified in place; clone it first to keep the original. The session
+// (usually from NewTimingSession) must be configured like the
+// protocol's own STA.
 //
-// The loop owns a step workspace: every round's path extraction,
-// sizing scratch and result values live in buffers reused across
-// rounds, so a steady-state size-only round performs no heap
-// allocation; only the retained per-round PathOutcome record is copied
-// out of the workspace.
-func (p *Protocol) OptimizeSession(ctx context.Context, sess *sta.Session, tc float64) (*CircuitOutcome, error) {
+// A non-nil leak then runs the selective multi-Vt pass of
+// internal/leakage on the same session: gates on non-critical paths
+// are promoted to higher-threshold devices, each move verified by
+// incremental STA against Tc. The outcome's Delay and Feasible then
+// reflect the final Vt-aware timing and its Leakage field carries the
+// power breakdown. A zero *leak is the default policy; leak.STA is
+// ignored (the session's configuration governs the slopes).
+//
+// The loop owns a step workspace, so a steady-state size-only round
+// performs no heap allocation; only the retained per-round PathOutcome
+// record is copied out of it. The sequential facade, the CLI and the
+// concurrent engine all run this one loop, so their results are
+// byte-identical.
+func (p *Protocol) Optimize(ctx context.Context, sess *sta.Session, tc float64, leak *leakage.Options) (*CircuitOutcome, error) {
+	if !(tc > 0) {
+		return nil, fmt.Errorf("core: non-positive constraint %g", tc)
+	}
 	ws := &stepWorkspace{}
 	out := &CircuitOutcome{Tc: tc}
 	start := time.Now()
@@ -591,43 +539,11 @@ func (p *Protocol) OptimizeSession(ctx context.Context, sess *sta.Session, tc fl
 	if err := p.Summarize(sess, out); err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// OptimizeWithLeakage runs the full protocol and then the selective
-// multi-Vt assignment pass of internal/leakage: gates on non-critical
-// paths are promoted to higher-threshold devices, each move verified by
-// incremental STA against Tc, cutting subthreshold leakage at zero
-// area and zero dynamic-power cost. The outcome's Delay and Feasible
-// reflect the final Vt-aware timing; its Leakage field carries the
-// power breakdown (dynamic, leakage before/after, total).
-//
-// A zero opts is the default policy: promote as far as HVT, default
-// power-simulation vectors, and the protocol's own STA configuration.
-func (p *Protocol) OptimizeWithLeakage(ctx context.Context, c *netlist.Circuit, tc float64, opts leakage.Options) (*CircuitOutcome, error) {
-	return p.OptimizeWithLeakageSession(ctx, p.NewTimingSession(c), tc, opts)
-}
-
-// OptimizeWithLeakageSession is OptimizeWithLeakage over a
-// caller-supplied timing session: the sizing rounds and the Vt pass
-// share the same incremental state, so the leakage pass starts from the
-// already-propagated timing instead of re-analyzing the circuit.
-func (p *Protocol) OptimizeWithLeakageSession(ctx context.Context, sess *sta.Session, tc float64, opts leakage.Options) (*CircuitOutcome, error) {
-	out, err := p.OptimizeSession(ctx, sess, tc)
-	if err != nil {
-		return nil, err
+	if leak == nil {
+		return out, nil
 	}
-	if opts.STA == (sta.Config{}) {
-		opts.STA = p.cfg.STA
-	}
-	lsess := sess
-	if opts.STA != sess.Config() {
-		// The caller asked for different slopes in the Vt pass: give the
-		// leakage pass its own session at that configuration.
-		lsess = sta.NewSession(sess.Circuit(), p.cfg.Model, opts.STA)
-	}
-	start := time.Now()
-	lr, err := leakage.AssignSession(ctx, lsess, tc, opts)
+	start = time.Now()
+	lr, err := leakage.AssignSession(ctx, sess, tc, *leak)
 	if err != nil {
 		return nil, err
 	}
@@ -638,12 +554,8 @@ func (p *Protocol) OptimizeWithLeakageSession(ctx context.Context, sess *sta.Ses
 	return out, nil
 }
 
-// logicNodes returns the netlist nodes of the path's original stages.
-func logicNodes(pa *delay.Path) []*netlist.Node {
-	return appendLogicNodes(nil, pa)
-}
-
-// appendLogicNodes is logicNodes into a recycled buffer.
+// appendLogicNodes appends the netlist nodes of the path's original
+// stages to dst.
 func appendLogicNodes(dst []*netlist.Node, pa *delay.Path) []*netlist.Node {
 	for i := range pa.Stages {
 		if n := pa.Stages[i].Node; n != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -167,6 +168,11 @@ func TestOptimizePathAreaOrdering(t *testing.T) {
 	}
 }
 
+// optimizeFresh runs the sizing rounds on a fresh timing session over c.
+func optimizeFresh(p *Protocol, c *netlist.Circuit, tc float64) (*CircuitOutcome, error) {
+	return p.Optimize(context.Background(), p.NewTimingSession(c), tc, nil)
+}
+
 func TestOptimizeCircuitFeasibleAndEquivalent(t *testing.T) {
 	m := delay.NewModel(tech.CMOS025())
 	p, err := NewProtocol(Config{Model: m})
@@ -189,7 +195,7 @@ func TestOptimizeCircuitFeasibleAndEquivalent(t *testing.T) {
 			t.Fatal(err)
 		}
 		tc := 1.35 * rt.Delay
-		out, err := p.OptimizeCircuit(c, tc)
+		out, err := optimizeFresh(p, c, tc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +230,7 @@ func TestOptimizeCircuitUnreachableConstraint(t *testing.T) {
 	spec, _ := iscas.ByName("fpd")
 	c := iscas.MustGenerate(spec)
 	orig := c.Clone()
-	out, err := p.OptimizeCircuit(c, 1) // 1 ps: impossible
+	out, err := optimizeFresh(p, c, 1) // 1 ps: impossible
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +268,7 @@ func TestOptimizeCircuitRewritesNORs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.OptimizeCircuit(c, 0.85*rt.Delay)
+	out, err := optimizeFresh(p, c, 0.85*rt.Delay)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func computeGoldenCell(t *testing.T, p *Protocol, m *delay.Model, name string, r
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.OptimizeCircuit(c, tc)
+	out, err := optimizeFresh(p, c, tc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func computeGoldenCell(t *testing.T, p *Protocol, m *delay.Model, name string, r
 	if err != nil {
 		t.Fatal(err)
 	}
-	lout, err := p.OptimizeWithLeakage(context.Background(), cl, tc, leakage.Options{})
+	lout, err := p.Optimize(context.Background(), p.NewTimingSession(cl), tc, &leakage.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestSessionedCircuitMutationStillValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	tmin := goldenTmin(t, m, "fpd")
-	if _, err := p.OptimizeCircuit(c, 1.2*tmin); err != nil {
+	if _, err := optimizeFresh(p, c, 1.2*tmin); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Validate(); err != nil {

@@ -30,7 +30,7 @@ func TestProtocolIdempotentOnFeasibleCircuit(t *testing.T) {
 	}
 	// A constraint the unsized circuit already meets: nothing to do.
 	tc := res.WorstDelay * 1.2
-	out, err := p.OptimizeCircuit(c, tc)
+	out, err := optimizeFresh(p, c, tc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestProtocolConvergesOnInteractingPaths(t *testing.T) {
 	}
 	orig := c.Clone()
 	tc := res.WorstDelay * 0.45
-	out, err := p.OptimizeCircuit(c, tc)
+	out, err := optimizeFresh(p, c, tc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestProtocolTighteningSequence(t *testing.T) {
 	prevArea := 0.0
 	for _, ratio := range []float64{2.5, 1.6, 1.2} {
 		c := base.Clone()
-		out, err := p.OptimizeCircuit(c, ratio*rt)
+		out, err := optimizeFresh(p, c, ratio*rt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestProtocolRespectsMaxRounds(t *testing.T) {
 	}
 	spec, _ := iscas.ByName("c432")
 	c := iscas.MustGenerate(spec)
-	out, err := p.OptimizeCircuit(c, 1) // impossible
+	out, err := optimizeFresh(p, c, 1) // impossible
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestProtocolPreservesUntouchedSideLogic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.OptimizeCircuit(c, 1.5*rt); err != nil {
+	if _, err := optimizeFresh(p, c, 1.5*rt); err != nil {
 		t.Fatal(err)
 	}
 	changedOffPath := 0
@@ -253,7 +253,7 @@ func TestProtocolConvergesOnManyParallelPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.OptimizeCircuit(c, 1.25*rt.Delay)
+	out, err := optimizeFresh(p, c, 1.25*rt.Delay)
 	if err != nil {
 		t.Fatal(err)
 	}

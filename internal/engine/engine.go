@@ -10,7 +10,7 @@
 // Jobs fan out over goroutines at path/Tc granularity: every (circuit,
 // Tc) unit is an independent task running the sequential Fig. 7
 // protocol on its own netlist clone, so results are byte-identical to
-// core.OptimizeCircuit regardless of worker count or scheduling (the
+// core.Protocol.Optimize regardless of worker count or scheduling (the
 // equivalence is enforced by TestEngineMatchesSequential). A shared,
 // mutex-guarded characterization cache (Flimit tables and Tmin/Tmax
 // bounds keyed by process + path signature) computes repeated
@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -206,6 +207,30 @@ func validateSourceRef(circuit, bench string) error {
 	return nil
 }
 
+// validateConstraint rejects out-of-range constraint fields instead of
+// letting them fall back to a default: tc, ratio and points must be
+// finite and non-negative (zero selects the default), and every suite
+// ratio must be finite and positive. Like validateSourceRef, the HTTP
+// layer runs it synchronously (400) and the library methods run it for
+// direct callers; fields a request kind does not carry are passed as
+// zero.
+func validateConstraint(tc, ratio float64, points int, ratios []float64) error {
+	switch {
+	case !(tc >= 0) || math.IsInf(tc, 1):
+		return fmt.Errorf("engine: tc %g must be finite and non-negative (0 derives it from ratio)", tc)
+	case !(ratio >= 0) || math.IsInf(ratio, 1):
+		return fmt.Errorf("engine: ratio %g must be finite and non-negative (0 selects 1.4)", ratio)
+	case points < 0:
+		return fmt.Errorf("engine: points %d must be non-negative (0 selects 11)", points)
+	}
+	for i, r := range ratios {
+		if !(r > 0) || math.IsInf(r, 1) {
+			return fmt.Errorf("engine: ratios[%d] = %g must be finite and positive", i, r)
+		}
+	}
+	return nil
+}
+
 // resolveSource validates a request's circuit reference — exactly one
 // of a suite name or an inline .bench source — and resolves it to a
 // source: display name, canonical fingerprint (the memo key), and
@@ -286,11 +311,14 @@ type OptimizeResult struct {
 	FromBounds bool // bounds served from the shared cache
 }
 
-// Optimize runs the full circuit protocol for one request. The round
-// loop drives core.OptimizeStep directly so cancellation is honored
-// between rounds; the assembled outcome is identical to
-// core.OptimizeCircuit on the same inputs.
+// Optimize runs the full circuit protocol for one request on the pool:
+// core.Protocol.Optimize over one timing session, with cancellation
+// honored between rounds, so the outcome is identical to a sequential
+// Protocol.Optimize on the same inputs.
 func (e *Engine) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeResult, error) {
+	if err := validateConstraint(req.Tc, req.Ratio, 0, nil); err != nil {
+		return nil, err
+	}
 	src, err := e.resolveSource(req.Circuit, req.Bench, req.parsed)
 	if err != nil {
 		return nil, err
@@ -388,12 +416,11 @@ func (e *Engine) computeTask(ctx context.Context, req OptimizeRequest, src *sour
 		tc = ratio * tb.tmin
 	}
 
-	var out *core.CircuitOutcome
+	var leak *leakage.Options
 	if req.Leakage {
-		out, err = proto.OptimizeWithLeakageSession(ctx, sess, tc, e.cfg.Leakage)
-	} else {
-		out, err = proto.OptimizeSession(ctx, sess, tc)
+		leak = &e.cfg.Leakage
 	}
+	out, err := proto.Optimize(ctx, sess, tc, leak)
 	if err != nil {
 		return nil, err
 	}
@@ -489,6 +516,9 @@ type Sweep struct {
 // own clone of one master netlist, keeping points independent and the
 // curve deterministic.
 func (e *Engine) Sweep(ctx context.Context, req SweepRequest) (*Sweep, error) {
+	if err := validateConstraint(0, 0, req.Points, nil); err != nil {
+		return nil, err
+	}
 	points := req.Points
 	if points <= 0 {
 		points = 11
@@ -592,6 +622,9 @@ type SuiteResult struct {
 // benchmarks first, then the inline netlists, each crossed with every
 // ratio.
 func (e *Engine) Suite(ctx context.Context, req SuiteRequest) (*SuiteResult, error) {
+	if err := validateConstraint(0, 0, 0, req.Ratios); err != nil {
+		return nil, err
+	}
 	names := req.Benchmarks
 	if len(names) == 0 && len(req.Benches) == 0 {
 		for _, s := range iscas.Suite() {

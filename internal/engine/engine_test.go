@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -108,6 +109,44 @@ func TestFanOutCaps(t *testing.T) {
 	}
 	if _, err := e.Suite(context.Background(), SuiteRequest{Benchmarks: []string{"fpd"}, Ratios: ratios}); err == nil {
 		t.Fatal("oversized suite accepted")
+	}
+}
+
+// TestConstraintValidation pins the range rule of validateConstraint on
+// the library methods: out-of-range constraints are rejected, never
+// silently replaced by the defaults that zero selects.
+func TestConstraintValidation(t *testing.T) {
+	e := newEngine(t, 1)
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"negative tc", func() error { _, err := e.Optimize(ctx, OptimizeRequest{Circuit: "c17", Tc: -50}); return err }},
+		{"NaN tc", func() error { _, err := e.Optimize(ctx, OptimizeRequest{Circuit: "c17", Tc: math.NaN()}); return err }},
+		{"infinite tc", func() error { _, err := e.Optimize(ctx, OptimizeRequest{Circuit: "c17", Tc: math.Inf(1)}); return err }},
+		{"negative ratio", func() error { _, err := e.Optimize(ctx, OptimizeRequest{Circuit: "c17", Ratio: -1}); return err }},
+		{"negative points", func() error { _, err := e.Sweep(ctx, SweepRequest{Circuit: "c17", Points: -3}); return err }},
+		{"negative suite ratio", func() error {
+			_, err := e.Suite(ctx, SuiteRequest{Benchmarks: []string{"c17"}, Ratios: []float64{1.5, -1}})
+			return err
+		}},
+		{"zero suite ratio", func() error {
+			_, err := e.Suite(ctx, SuiteRequest{Benchmarks: []string{"c17"}, Ratios: []float64{0}})
+			return err
+		}},
+	} {
+		if err := c.run(); err == nil || !strings.Contains(err.Error(), "must be") {
+			t.Errorf("%s: err = %v, want a range rejection", c.name, err)
+		}
+	}
+	// Zero still selects the defaults.
+	res, err := e.Optimize(ctx, OptimizeRequest{Circuit: "c17"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 1.4 * res.Tmin; res.Tc != want {
+		t.Fatalf("default tc %v, want 1.4·Tmin = %v", res.Tc, want)
 	}
 }
 
@@ -246,8 +285,9 @@ func TestCacheLimitsSharedWithProtocol(t *testing.T) {
 }
 
 // dumpOutcome renders a CircuitOutcome canonically: %v on float64
-// prints the shortest decimal that uniquely round-trips the bits, so
-// two dumps are byte-identical iff every quantity is bit-identical.
+// prints the shortest decimal that uniquely round-trips the bits (and
+// fmt sorts the Vt census map), so two dumps are byte-identical iff
+// every quantity is bit-identical.
 func dumpOutcome(o *core.CircuitOutcome) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "tc=%v delay=%v area=%v feasible=%v rounds=%d buffers=%d rewrites=%d\n",
@@ -255,6 +295,9 @@ func dumpOutcome(o *core.CircuitOutcome) string {
 	for _, po := range o.PathOutcomes {
 		fmt.Fprintf(&b, "  domain=%v tmin=%v tmax=%v tc=%v method=%s delay=%v area=%v buffers=%d feasible=%v sizes=%v\n",
 			po.Domain, po.Tmin, po.Tmax, po.Tc, po.Method, po.Delay, po.Area, po.Buffers, po.Feasible, po.Path.Sizes())
+	}
+	if o.Leakage != nil {
+		fmt.Fprintf(&b, "  leakage=%+v\n", *o.Leakage)
 	}
 	return b.String()
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/delay"
 	"repro/internal/iscas"
+	"repro/internal/leakage"
 	"repro/internal/sizing"
 	"repro/internal/sta"
 	"repro/internal/tech"
@@ -18,8 +19,9 @@ var equivRatios = []float64{1.1, 1.5, 2.6}
 
 // sequentialOutcome reproduces the pre-engine usage exactly: fresh
 // benchmark instance, critical path, Tmin from the sizing solver, then
-// core.OptimizeCircuit — no engine, no cache, no pool.
-func sequentialOutcome(t *testing.T, name string, ratio float64) (*core.CircuitOutcome, float64) {
+// core.Protocol.Optimize — no engine, no cache, no pool. leak adds the
+// default multi-Vt pass, the engine's policy under newEngine.
+func sequentialOutcome(t *testing.T, name string, ratio float64, leak bool) (*core.CircuitOutcome, float64) {
 	t.Helper()
 	m := delay.NewModel(tech.CMOS025())
 	c, err := loadCircuit(name)
@@ -39,7 +41,11 @@ func sequentialOutcome(t *testing.T, name string, ratio float64) (*core.CircuitO
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := proto.OptimizeCircuit(c, tc)
+	var opts *leakage.Options
+	if leak {
+		opts = &leakage.Options{}
+	}
+	out, err := proto.Optimize(context.Background(), proto.NewTimingSession(c), tc, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +53,12 @@ func sequentialOutcome(t *testing.T, name string, ratio float64) (*core.CircuitO
 }
 
 // TestEngineMatchesSequential is the determinism contract of the
-// subsystem: for every benchmark of the suite at three Tc points, the
-// engine running on a multi-worker pool produces a CircuitOutcome
-// byte-identical (canonical dump, full float64 precision) to the
-// sequential core.OptimizeCircuit path. With -short only the fast
-// benchmarks run; the full matrix is the default.
+// subsystem: for every benchmark of the suite at three Tc points, with
+// the leakage pass off and on, the engine running on a multi-worker
+// pool produces a CircuitOutcome byte-identical (canonical dump, full
+// float64 precision, Vt result included) to the sequential
+// core.Protocol.Optimize path. With -short only the fast benchmarks
+// run; the full matrix is the default.
 func TestEngineMatchesSequential(t *testing.T) {
 	names := []string{}
 	for _, s := range iscas.Suite() {
@@ -63,18 +70,20 @@ func TestEngineMatchesSequential(t *testing.T) {
 	e := newEngine(t, 4)
 	for _, name := range names {
 		for _, ratio := range equivRatios {
-			seq, tc := sequentialOutcome(t, name, ratio)
-			res, err := e.Optimize(context.Background(), OptimizeRequest{Circuit: name, Ratio: ratio})
-			if err != nil {
-				t.Fatalf("%s@%.2f: engine: %v", name, ratio, err)
-			}
-			if res.Tc != tc {
-				t.Fatalf("%s@%.2f: engine tc %v, sequential %v", name, ratio, res.Tc, tc)
-			}
-			a, b := dumpOutcome(seq), dumpOutcome(res.Outcome)
-			if a != b {
-				t.Errorf("%s@%.2f: engine outcome diverged from sequential\n--- sequential\n%s--- engine\n%s",
-					name, ratio, a, b)
+			for _, leak := range []bool{false, true} {
+				seq, tc := sequentialOutcome(t, name, ratio, leak)
+				res, err := e.Optimize(context.Background(), OptimizeRequest{Circuit: name, Ratio: ratio, Leakage: leak})
+				if err != nil {
+					t.Fatalf("%s@%.2f leakage=%v: engine: %v", name, ratio, leak, err)
+				}
+				if res.Tc != tc {
+					t.Fatalf("%s@%.2f leakage=%v: engine tc %v, sequential %v", name, ratio, leak, res.Tc, tc)
+				}
+				a, b := dumpOutcome(seq), dumpOutcome(res.Outcome)
+				if a != b {
+					t.Errorf("%s@%.2f leakage=%v: engine outcome diverged from sequential\n--- sequential\n%s--- engine\n%s",
+						name, ratio, leak, a, b)
+				}
 			}
 		}
 	}
@@ -125,7 +134,7 @@ func TestSweepMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := proto.OptimizeCircuit(c, p.Tc)
+		out, err := proto.Optimize(context.Background(), proto.NewTimingSession(c), p.Tc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -231,19 +231,32 @@ type optimizeBody struct {
 	Wait bool `json:"wait,omitempty"`
 }
 
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
+// readOptimize decodes and validates a POST /v1/optimize body: the
+// bounded JSON decode, the constraint range check and the circuit
+// reference. Rejections are answered on w (400, 413 or 422); the bool
+// reports whether the request survived.
+func readOptimize(w http.ResponseWriter, r *http.Request) (optimizeBody, bool) {
 	var body optimizeBody
 	if !readJSON(w, r, &body) {
-		return
+		return body, false
+	}
+	if err := validateConstraint(body.Tc, body.Ratio, 0, nil); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return body, false
 	}
 	pb, ok := resolveBench(w, body.Circuit, body.Bench)
+	body.parsed = pb
+	return body, ok
+}
+
+func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
+	body, ok := readOptimize(w, r)
 	if !ok {
 		return
 	}
-	body.parsed = pb
 	label := body.Circuit
-	if pb != nil {
-		label = pb.Name
+	if body.parsed != nil {
+		label = body.parsed.Name
 	}
 	s.dispatch(w, r, JobOptimize, body.Wait, label, body.OptimizeRequest, func(ctx context.Context) (any, error) {
 		res, err := s.engine.Optimize(ctx, body.OptimizeRequest)
@@ -263,6 +276,10 @@ type sweepBody struct {
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var body sweepBody
 	if !readJSON(w, r, &body) {
+		return
+	}
+	if err := validateConstraint(0, 0, body.Points, nil); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	pb, ok := resolveBench(w, body.Circuit, body.Bench)
@@ -288,6 +305,10 @@ type suiteBody struct {
 func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	var body suiteBody
 	if !readJSON(w, r, &body) {
+		return
+	}
+	if err := validateConstraint(0, 0, 0, body.Ratios); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	// Inline entries are validated synchronously: a bad netlist answers

@@ -223,3 +223,35 @@ func TestSuiteEndpoint(t *testing.T) {
 		t.Fatalf("row %v", first)
 	}
 }
+
+// TestConstraintEndpointValidation pins the synchronous range check of
+// the three POST handlers: an out-of-range constraint answers 400 before
+// any job is submitted, instead of running at a silently substituted
+// default.
+func TestConstraintEndpointValidation(t *testing.T) {
+	srv, ts := newTestServer(t)
+	for _, c := range []struct {
+		name string
+		path string
+		body map[string]any
+	}{
+		{"negative tc", "/v1/optimize", map[string]any{"circuit": "c17", "tc": -50, "wait": true}},
+		{"negative ratio", "/v1/optimize", map[string]any{"circuit": "c17", "ratio": -1, "wait": true}},
+		{"negative points", "/v1/sweep", map[string]any{"circuit": "fpd", "points": -3, "wait": true}},
+		{"negative suite ratio", "/v1/suite", map[string]any{"benchmarks": []string{"fpd"}, "ratios": []float64{-1, 0}, "wait": true}},
+		{"zero suite ratio", "/v1/suite", map[string]any{"benchmarks": []string{"fpd"}, "ratios": []float64{1.5, 0}, "wait": true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			resp, body := postJSON(t, ts.URL+c.path, c.body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status %d: %v", resp.StatusCode, body)
+			}
+			if msg, _ := body["error"].(string); !strings.Contains(msg, "must be") {
+				t.Fatalf("error %q does not name the range rule", msg)
+			}
+		})
+	}
+	if n := srv.Store().Len(); n != 0 {
+		t.Fatalf("%d jobs submitted for rejected requests", n)
+	}
+}

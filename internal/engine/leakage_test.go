@@ -167,9 +167,12 @@ func TestLeakageDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestLeakageMatchesSequential pins the engine's leakage path to the
-// sequential protocol: OptimizeWithLeakage on a fresh circuit must be
-// byte-identical to the engine result, including the Vt census.
+// TestLeakageMatchesSequential pins the shape of the engine's leakage
+// run against the dynamic-only sequential protocol: the multi-Vt pass
+// must leave the sizing trajectory untouched, report the Vt-aware delay
+// within Tc, and promote gates to HVT. Byte-identity with a sequential
+// leakage-aware Protocol.Optimize is checked by the leakage-on cells of
+// TestEngineMatchesSequential.
 func TestLeakageMatchesSequential(t *testing.T) {
 	const name = "c432"
 	const ratio = 1.4
@@ -178,7 +181,7 @@ func TestLeakageMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, tc := sequentialOutcome(t, name, ratio) // dynamic-only reference
+	seq, tc := sequentialOutcome(t, name, ratio, false) // dynamic-only reference
 	if res.Tc != tc {
 		t.Fatalf("tc %v vs sequential %v", res.Tc, tc)
 	}

@@ -98,7 +98,7 @@ func Assign(ctx context.Context, c *netlist.Circuit, m *delay.Model, tc float64,
 // AssignSession is Assign over a caller-supplied incremental timing
 // session (the session's STA configuration governs the slopes; opts.STA
 // is ignored). The combined size-then-assign flow of
-// core.OptimizeWithLeakage threads the sizing rounds' session through
+// core.Protocol.Optimize threads the sizing rounds' session through
 // here, so the pass starts from the already-propagated timing instead
 // of re-analyzing the circuit, and every promotion check runs on the
 // session's reused buffers.

@@ -36,7 +36,7 @@ func optimized(t *testing.T, name string, ratio float64) (*netlist.Circuit, *del
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := proto.OptimizeCircuit(c, tc)
+	out, err := proto.Optimize(context.Background(), proto.NewTimingSession(c), tc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

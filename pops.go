@@ -67,8 +67,8 @@
 // pass (internal/leakage): after sizing, non-critical gates are
 // promoted to high-threshold devices under incremental-STA guard,
 // cutting subthreshold leakage at zero area and zero dynamic cost —
-// requested with OptimizeRequest.Leakage, Protocol.OptimizeWithLeakage
-// or the "pops leakage" CLI subcommand.
+// requested with OptimizeRequest.Leakage, Protocol.Optimize with
+// non-nil LeakageOptions, or the "pops leakage" CLI subcommand.
 package pops
 
 import (
@@ -151,8 +151,8 @@ type (
 var ErrStaleAnalysis = sta.ErrStaleAnalysis
 
 // NewTimingSession builds a reusable incremental timing session over an
-// elaborated circuit. Session-based drivers — Protocol.OptimizeSession
-// and the batch engine's tasks — analyze once and repair incrementally,
+// elaborated circuit. Session-based drivers — Protocol.Optimize and the
+// batch engine's tasks — analyze once and repair incrementally,
 // making repeated timing queries allocation-free; see STAResult.Update
 // and docs/ARCHITECTURE.md for the epoch semantics.
 func NewTimingSession(c *Circuit, m *Model) *TimingSession {
@@ -364,7 +364,8 @@ func EstimateStaticPower(c *Circuit, p *Process, opts PowerOptions) (*StaticPowe
 // AssignVt runs the selective multi-Vt pass on an already-optimized
 // circuit: gates on non-critical paths are greedily promoted to higher
 // thresholds, each move verified by incremental STA against tc. Use
-// Protocol.OptimizeWithLeakage for the combined size-then-assign flow.
+// Protocol.Optimize with non-nil LeakageOptions for the combined
+// size-then-assign flow.
 func AssignVt(ctx context.Context, c *Circuit, m *Model, tc float64, opts LeakageOptions) (*LeakageResult, error) {
 	return leakage.Assign(ctx, c, m, tc, opts)
 }

@@ -1,6 +1,7 @@
 package pops
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -169,7 +170,7 @@ func TestProtocolFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := proto.OptimizeCircuit(c, 1.4*b.Tmin)
+	out, err := proto.Optimize(context.Background(), proto.NewTimingSession(c), 1.4*b.Tmin, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
