@@ -470,39 +470,11 @@ func sizeInsertedLocally(m *delay.Model, pa *delay.Path, idx int, ev *delay.Path
 	}
 }
 
-// solveFrozen runs the eq. (6) forward recursion at sensitivity a,
-// skipping the inserted stages (their sizes are pinned), and returns
-// the worst-edge delay. bbuf is the reused B-coefficient scratch — the
-// recursion refreshes B every sweep, and the frozen-buffer bisection
-// calls solveFrozen hundreds of times per distribution, so this buffer
-// used to dominate the whole round loop's allocation profile.
-func solveFrozen(m *delay.Model, pa *delay.Path, a float64, bbuf *[]float64) float64 {
-	n := len(pa.Stages)
-	for sweep := 0; sweep < 120; sweep++ {
-		*bbuf = m.BCoefficientsInto(*bbuf, pa)
-		b := *bbuf
-		maxRel := 0.0
-		for i := 1; i < n; i++ {
-			if pa.Stages[i].Inserted {
-				continue
-			}
-			li := pa.ExternalLoadAt(i)
-			den := b[i-1]/pa.Stages[i-1].CIn - a*sizing.AreaWeight(&pa.Stages[i])
-			if den < 1e-12 {
-				den = 1e-12
-			}
-			x := m.Proc.ClampCap(math.Sqrt(b[i] * li / den))
-			if old := pa.Stages[i].CIn; old > 0 {
-				if rel := math.Abs(x-old) / old; rel > maxRel {
-					maxRel = rel
-				}
-			}
-			pa.Stages[i].CIn = x
-		}
-		if maxRel < 1e-10 {
-			break
-		}
-	}
+// solveFrozen runs the eq. (6) sweep kernel at sensitivity a with the
+// inserted stages pinned, under the frozen-buffer sweep budget o, and
+// returns the worst-edge delay.
+func solveFrozen(m *delay.Model, pa *delay.Path, a float64, o sizing.Options) float64 {
+	sizing.SolveSensitivity(m, pa, a, true, o)
 	return m.PathDelayWorst(pa)
 }
 
@@ -513,9 +485,9 @@ func solveFrozen(m *delay.Model, pa *delay.Path, a float64, bbuf *[]float64) flo
 // bisection on the sensitivity a with the buffers pinned.
 func distributeFrozenBuffers(m *delay.Model, pa *delay.Path, tc float64, opts sizing.Options) (*sizing.Result, error) {
 	ev := opts.Workspace.PathEval()
-	// One B-coefficient scratch serves every solveFrozen sweep of this
-	// distribution (hundreds of bisection probes × up to 120 sweeps).
-	var bbuf []float64
+	// The frozen solve's own budget: up to 120 sweeps to a 1e-10
+	// relative size change, tighter than Distribute's defaults.
+	frozen := sizing.Options{MaxSweeps: 120, Tol: 1e-10, Workspace: opts.Workspace}
 	var res *sizing.Result
 	for round := 0; round < 3; round++ {
 		// (a) local buffer sizing against the current sizes.
@@ -525,7 +497,7 @@ func distributeFrozenBuffers(m *delay.Model, pa *delay.Path, tc float64, opts si
 			}
 		}
 		// (b) frozen-buffer sensitivity bisection.
-		if d := solveFrozen(m, pa, 0, &bbuf); d > tc {
+		if d := solveFrozen(m, pa, 0, frozen); d > tc {
 			// Even the frozen minimum misses tc this round; try the
 			// next round's buffer re-size, or report the shortfall.
 			res = &sizing.Result{Delay: d, MeanDelay: m.PathDelayMean(pa), Area: pa.Area(m.Proc), A: 0}
@@ -533,20 +505,20 @@ func distributeFrozenBuffers(m *delay.Model, pa *delay.Path, tc float64, opts si
 		}
 		aLo, aHi := -1e-4, 0.0
 		for range [64]int{} {
-			if solveFrozen(m, pa, aLo, &bbuf) >= tc {
+			if solveFrozen(m, pa, aLo, frozen) >= tc {
 				break
 			}
 			aLo *= 4
 		}
 		for iter := 0; iter < 70; iter++ {
 			mid := (aLo + aHi) / 2
-			if solveFrozen(m, pa, mid, &bbuf) > tc {
+			if solveFrozen(m, pa, mid, frozen) > tc {
 				aLo = mid
 			} else {
 				aHi = mid
 			}
 		}
-		d := solveFrozen(m, pa, aHi, &bbuf)
+		d := solveFrozen(m, pa, aHi, frozen)
 		res = &sizing.Result{Delay: d, MeanDelay: m.PathDelayMean(pa), Area: pa.Area(m.Proc), A: aHi}
 	}
 	if res == nil {

@@ -36,43 +36,83 @@ import (
 // term of eq. (1) and SlopeEffect enables the input-transition term.
 // Both default to on (the paper's model).
 //
-// Build a Model with NewModel: it precomputes the corner's per-Vt-class
-// drive factors, which the Vt-aware evaluation reads for every non-SVT
-// gate.
+// Build a Model with NewModel: it snapshots the corner's constants —
+// the eq. (1-3) factors and the per-Vt-class drive factors and slope
+// coefficients — so no evaluation recomputes them. The snapshot is
+// taken once: mutating *Proc after NewModel is unsupported (the model
+// would mix old and new values); build a new Model for a new corner.
+// The flags may be toggled at any time.
 type Model struct {
 	Proc         *tech.Process
 	CoupleMiller bool
 	SlopeEffect  bool
 
-	// driveN and driveP hold Proc.VtDriveN/VtDriveP per Vt class.
-	driveN, driveP [tech.NumVtClasses]float64
+	// The eq. (1-3) corner constants, each computed in the exact
+	// operation order of the gate.Cell or tech.Process method it
+	// replaces, so every formula below returns the same bits:
+	// sHL0 = S0·(1+k) and sLH0 = S0·(1+k)·R/k (sHL0·DW_HL is Cell.SHL,
+	// sLH0·DW_LH is Cell.SLH); millerHL, millerLH and vtMean are the
+	// Process methods' values; vtn2, vtp2 and vtMean2 are VTN/2, VTP/2
+	// and vtMean/2; tau is Proc.Tau.
+	tau                 float64
+	sHL0, sLH0          float64
+	millerHL, millerLH  float64
+	vtMean              float64
+	vtn2, vtp2, vtMean2 float64
+
+	// driveN and driveP hold Proc.VtDriveN/VtDriveP per Vt class;
+	// shiftN2 and shiftP2 hold Proc.VtShiftN/VtShiftP per class, halved
+	// (the class's eq. (1) slope coefficients).
+	driveN, driveP   [tech.NumVtClasses]float64
+	shiftN2, shiftP2 [tech.NumVtClasses]float64
 }
 
-// NewModel returns the paper's full model on the given corner.
+// NewModel returns the paper's full model on the given corner, with
+// the corner's constants snapshotted (see Model).
 func NewModel(p *tech.Process) *Model {
-	m := &Model{Proc: p, CoupleMiller: true, SlopeEffect: true}
+	m := &Model{
+		Proc:         p,
+		CoupleMiller: true,
+		SlopeEffect:  true,
+		tau:          p.Tau,
+		sHL0:         p.S0 * (1 + p.K),
+		sLH0:         p.S0 * (1 + p.K) * p.R / p.K,
+		millerHL:     p.MillerHL(),
+		millerLH:     p.MillerLH(),
+		vtMean:       p.VTMean(),
+		vtn2:         p.VTN / 2,
+		vtp2:         p.VTP / 2,
+		vtMean2:      p.VTMean() / 2,
+	}
 	for v := tech.VtClass(0); v < tech.NumVtClasses; v++ {
 		m.driveN[v] = p.VtDriveN(v)
 		m.driveP[v] = p.VtDriveP(v)
+		m.shiftN2[v] = p.VtShiftN(v) / 2
+		m.shiftP2[v] = p.VtShiftP(v) / 2
 	}
 	return m
+}
+
+// sMean is Cell.SMean on the snapshotted corner.
+func (m *Model) sMean(c gate.Cell) float64 {
+	return (m.sHL0*c.DWHL + m.sLH0*c.DWLH) / 2
 }
 
 // TransitionHL returns the falling output transition time (ps) of cell
 // c with input capacitance cin (fF) driving load cl (fF) — eq. (2,3).
 func (m *Model) TransitionHL(c gate.Cell, cin, cl float64) float64 {
-	return c.SHL(m.Proc) * m.Proc.Tau * cl / cin
+	return m.sHL0 * c.DWHL * m.tau * cl / cin
 }
 
 // TransitionLH returns the rising output transition time (ps).
 func (m *Model) TransitionLH(c gate.Cell, cin, cl float64) float64 {
-	return c.SLH(m.Proc) * m.Proc.Tau * cl / cin
+	return m.sLH0 * c.DWLH * m.tau * cl / cin
 }
 
 // TransitionMean returns the edge-averaged output transition time (ps)
 // used by the convex optimization objective.
 func (m *Model) TransitionMean(c gate.Cell, cin, cl float64) float64 {
-	return c.SMean(m.Proc) * m.Proc.Tau * cl / cin
+	return m.sMean(c) * m.tau * cl / cin
 }
 
 // millerFactor evaluates 1 + 2C_M/(C_M + C_L) with C_M = ratio·C_IN.
@@ -87,9 +127,9 @@ func (m *Model) millerFactor(ratio, cin, cl float64) float64 {
 // GateDelayHL returns the eq. (1) falling-output delay (ps) of cell c:
 // input rising with transition time tauInLH, load cl.
 func (m *Model) GateDelayHL(c gate.Cell, cin, cl, tauInLH float64) float64 {
-	t := m.millerFactor(m.Proc.MillerHL(), cin, cl) / 2 * m.TransitionHL(c, cin, cl)
+	t := m.millerFactor(m.millerHL, cin, cl) / 2 * m.TransitionHL(c, cin, cl)
 	if m.SlopeEffect {
-		t += m.Proc.VTN / 2 * tauInLH
+		t += m.vtn2 * tauInLH
 	}
 	return t
 }
@@ -97,9 +137,9 @@ func (m *Model) GateDelayHL(c gate.Cell, cin, cl, tauInLH float64) float64 {
 // GateDelayLH returns the eq. (1) rising-output delay (ps) of cell c:
 // input falling with transition time tauInHL, load cl.
 func (m *Model) GateDelayLH(c gate.Cell, cin, cl, tauInHL float64) float64 {
-	t := m.millerFactor(m.Proc.MillerLH(), cin, cl) / 2 * m.TransitionLH(c, cin, cl)
+	t := m.millerFactor(m.millerLH, cin, cl) / 2 * m.TransitionLH(c, cin, cl)
 	if m.SlopeEffect {
-		t += m.Proc.VTP / 2 * tauInHL
+		t += m.vtp2 * tauInHL
 	}
 	return t
 }
@@ -110,7 +150,7 @@ func (m *Model) GateDelayLH(c gate.Cell, cin, cl, tauInHL float64) float64 {
 func (m *Model) GateDelayMean(c gate.Cell, cin, cl, tauIn float64) float64 {
 	t := m.millerFactor(0.25, cin, cl) / 2 * m.TransitionMean(c, cin, cl)
 	if m.SlopeEffect {
-		t += m.Proc.VTMean() / 2 * tauIn
+		t += m.vtMean2 * tauIn
 	}
 	return t
 }
@@ -329,9 +369,7 @@ func (m *Model) BCoefficients(pa *Path) []float64 {
 
 // BCoefficientsInto is BCoefficients into caller storage: the
 // coefficients land in dst (grown only when its capacity is short) and
-// the used slice is returned. The sizing solvers recompute B on every
-// sweep, so a recycled buffer removes the dominant per-sweep
-// allocation of the hot round loop.
+// the used slice is returned.
 func (m *Model) BCoefficientsInto(dst []float64, pa *Path) []float64 {
 	n := len(pa.Stages)
 	if cap(dst) < n {
@@ -340,17 +378,35 @@ func (m *Model) BCoefficientsInto(dst []float64, pa *Path) []float64 {
 	b := dst[:n]
 	for i := range pa.Stages {
 		st := &pa.Stages[i]
-		cl := pa.LoadAt(i)
-		mf := m.millerFactor(0.25, st.CIn, cl)
-		h := st.Cell.SMean(m.Proc) * m.Proc.Tau / 2
-		coef := h * mf
+		h := m.BScale(st.Cell)
+		coef := h * m.BMiller(st.CIn, pa.LoadAt(i))
 		if m.SlopeEffect && i+1 < n {
-			coef += h * m.Proc.VTMean()
+			coef += h * m.vtMean
 		}
 		b[i] = coef
 	}
 	return b
 }
+
+// The three pieces of one B coefficient, exported for solvers that
+// compute B_i inline inside their own sweep. With h = BScale(cell),
+//
+//	B_i = h·BMiller(C_IN(i), C_L(i)) [+ h·VTMean() when SlopeEffect and i is not the last stage]
+//
+// is BCoefficientsInto's b[i] bit for bit.
+
+// BScale returns h = S_mean·τ/2, the size-independent factor of the B
+// coefficient of a stage built from cell c.
+func (m *Model) BScale(c gate.Cell) float64 { return m.sMean(c) * m.tau / 2 }
+
+// BMiller returns the frozen, edge-averaged Miller factor of a B
+// coefficient: 1 + 2C_M/(C_M+C_L) with C_M = C_IN/4, or 1 when
+// CoupleMiller is off.
+func (m *Model) BMiller(cin, cl float64) float64 { return m.millerFactor(0.25, cin, cl) }
+
+// VTMean returns the corner's average reduced threshold
+// (tech.Process.VTMean), the slope factor of a B coefficient.
+func (m *Model) VTMean() float64 { return m.vtMean }
 
 // Sensitivity returns ∂T/∂C_IN(i) (ps/fF) of the edge-averaged path
 // delay for stage i ≥ 1 under frozen B coefficients:

@@ -13,7 +13,8 @@ import (
 // class is SVT, so circuits that never leave the default class produce
 // byte-identical timing to the pre-multi-Vt model — the invariant the
 // engine's equivalence tests rely on. The alpha-power drive ratios are
-// read from the table NewModel fills, not recomputed per gate.
+// read from the tables NewModel fills, not recomputed per gate, and so
+// are the classes' halved slope thresholds.
 
 // TransitionHLVt returns the falling output transition time (ps) of
 // cell c at Vt class v.
@@ -41,9 +42,9 @@ func (m *Model) GateDelayHLVt(c gate.Cell, cin, cl, tauInLH float64, v tech.VtCl
 	if v == tech.SVT {
 		return m.GateDelayHL(c, cin, cl, tauInLH)
 	}
-	t := m.millerFactor(m.Proc.MillerHL(), cin, cl) / 2 * m.TransitionHLVt(c, cin, cl, v)
+	t := m.millerFactor(m.millerHL, cin, cl) / 2 * m.TransitionHLVt(c, cin, cl, v)
 	if m.SlopeEffect {
-		t += m.Proc.VtShiftN(v) / 2 * tauInLH
+		t += m.shiftN2[v] * tauInLH
 	}
 	return t
 }
@@ -54,9 +55,9 @@ func (m *Model) GateDelayLHVt(c gate.Cell, cin, cl, tauInHL float64, v tech.VtCl
 	if v == tech.SVT {
 		return m.GateDelayLH(c, cin, cl, tauInHL)
 	}
-	t := m.millerFactor(m.Proc.MillerLH(), cin, cl) / 2 * m.TransitionLHVt(c, cin, cl, v)
+	t := m.millerFactor(m.millerLH, cin, cl) / 2 * m.TransitionLHVt(c, cin, cl, v)
 	if m.SlopeEffect {
-		t += m.Proc.VtShiftP(v) / 2 * tauInHL
+		t += m.shiftP2[v] * tauInHL
 	}
 	return t
 }
@@ -87,10 +88,10 @@ func (m *Model) GateTermsVt(c gate.Cell, cin, cl float64, v tech.VtClass) GateTe
 	return GateTerms{
 		TauHL: tauHL,
 		TauLH: tauLH,
-		DHL:   m.millerFactor(m.Proc.MillerHL(), cin, cl) / 2 * tauHL,
-		DLH:   m.millerFactor(m.Proc.MillerLH(), cin, cl) / 2 * tauLH,
-		KHL:   m.Proc.VtShiftN(v) / 2,
-		KLH:   m.Proc.VtShiftP(v) / 2,
+		DHL:   m.millerFactor(m.millerHL, cin, cl) / 2 * tauHL,
+		DLH:   m.millerFactor(m.millerLH, cin, cl) / 2 * tauLH,
+		KHL:   m.shiftN2[v],
+		KLH:   m.shiftP2[v],
 		slope: m.SlopeEffect,
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/delay"
 )
@@ -27,12 +28,12 @@ var ErrInfeasible = errors.New("sizing: delay constraint below minimum achievabl
 
 // Options tunes the iterative solvers. The zero value selects defaults.
 type Options struct {
-	// MaxSweeps bounds the link-equation fixed-point sweeps (default 200).
+	// MaxSweeps bounds the link-equation fixed-point sweeps (default 140).
 	MaxSweeps int
-	// Tol is the relative convergence tolerance on sizes (default 1e-10).
+	// Tol is the relative convergence tolerance on sizes (default 1e-9).
 	Tol float64
 	// SearchIter bounds the bisection steps on the sensitivity a
-	// (default 80).
+	// (default 60).
 	SearchIter int
 	// DelayTol is the relative tolerance on meeting the delay
 	// constraint (default 1e-6).
@@ -63,7 +64,8 @@ type Options struct {
 // threaded through Options, a steady-state Tmin/Distribute call
 // performs no heap allocation. The zero value is ready to use.
 type Workspace struct {
-	b     []float64      // BCoefficients buffer, reused every sweep
+	b     []float64      // BCoefficients buffer of Tmin and SutherlandDistribute
+	h     []float64      // per-stage B scale factors of an eq. (6) solve
 	sizes []float64      // sizing snapshot buffer (Distribute)
 	eval  delay.PathEval // incremental worst-edge evaluator (polish, trim)
 	tmin  Result         // result slot for Tmin
@@ -294,37 +296,86 @@ func polishWorstEdge(m *delay.Model, pa *delay.Path, ev *delay.PathEval) {
 // form eq. (5) prints.
 func AreaWeight(st *delay.Stage) float64 { return float64(st.Cell.FanIn) }
 
-// solveSensitivity sizes the path for a fixed sensitivity coefficient
+// SolveSensitivity sizes the path for a fixed sensitivity coefficient
 // a ≤ 0 by iterating eq. (6): forward recursions
 //
 //	C_IN(i) = sqrt( A_i·L_i / (A_{i-1}/C_IN(i-1) − a·k_i) )
 //
 // until convergence (L_i depends on the downstream size, so a few outer
-// sweeps are needed). Sizes are clamped to the realizable drive range.
-func solveSensitivity(m *delay.Model, pa *delay.Path, a float64, o Options) int {
+// sweeps are needed), and returns the sweeps performed. Sizes are
+// clamped to the realizable drive range. With pinInserted the stages
+// marked Inserted keep their sizes (they still enter their neighbors'
+// loads and B coefficients). The sweep budget, tolerance and scratch
+// are opts' MaxSweeps, Tol and Workspace; zero values select the
+// defaults.
+//
+// Each sweep returns exactly what a two-pass sweep (BCoefficientsInto
+// over the sweep's starting sizes, then the recursion) returns, bit for
+// bit, without the separate pass:
+//
+//   - B_i depends only on C_IN(i) and C_IN(i+1), and the recursion has
+//     not yet moved either when it reaches stage i, so B_i is computed
+//     right there and carried forward as stage i+1's B_{i-1}.
+//   - h_i = S_mean·τ/2, B_i's size-independent factor, is computed once
+//     per solve instead of once per sweep.
+//   - The convergence test needs only whether every |x−old|/old is
+//     below tol (⇔ their maximum is), so once one stage has failed it
+//     the rest of the sweep skips the division.
+//
+// The B expression is written out in the loop rather than behind a
+// helper: a helper exceeds the inlining budget, and the call costs a
+// measurable share of the sweep.
+func SolveSensitivity(m *delay.Model, pa *delay.Path, a float64, pinInserted bool, opts Options) int {
+	o := opts.withDefaults()
 	n := len(pa.Stages)
+	if n == 0 {
+		return 0
+	}
+	var h []float64
+	if ws := o.Workspace; ws != nil {
+		ws.h = slices.Grow(ws.h[:0], n)[:n]
+		h = ws.h
+	} else {
+		h = make([]float64, n)
+	}
+	for i := range pa.Stages {
+		h[i] = m.BScale(pa.Stages[i].Cell)
+	}
+	slope, vt := m.SlopeEffect, m.VTMean()
 	sweeps := 0
 	for sweep := 1; sweep <= o.MaxSweeps; sweep++ {
-		b := bcoefs(m, pa, o.Workspace)
-		maxRel := 0.0
+		bPrev := h[0] * m.BMiller(pa.Stages[0].CIn, pa.LoadAt(0))
+		if slope && n > 1 {
+			bPrev += h[0] * vt
+		}
+		// The two-pass test is max(0, rel…) < Tol; with a NaN Tol it
+		// never passes.
+		converged := o.Tol > 0
 		for i := 1; i < n; i++ {
+			st := &pa.Stages[i]
+			b := h[i] * m.BMiller(st.CIn, pa.LoadAt(i))
+			if slope && i+1 < n {
+				b += h[i] * vt
+			}
+			if pinInserted && st.Inserted {
+				bPrev = b
+				continue
+			}
 			li := pa.ExternalLoadAt(i)
-			den := b[i-1]/pa.Stages[i-1].CIn - a*AreaWeight(&pa.Stages[i])
+			den := bPrev/pa.Stages[i-1].CIn - a*AreaWeight(st)
 			// a ≤ 0 keeps den > 0; defensive clamp for a > 0 probes.
 			if den < 1e-12 {
 				den = 1e-12
 			}
-			x := math.Sqrt(b[i] * li / den)
-			x = m.Proc.ClampCap(x)
-			if old := pa.Stages[i].CIn; old > 0 {
-				if rel := math.Abs(x-old) / old; rel > maxRel {
-					maxRel = rel
-				}
+			x := m.Proc.ClampCap(math.Sqrt(b * li / den))
+			if old := st.CIn; converged && old > 0 && math.Abs(x-old)/old >= o.Tol {
+				converged = false
 			}
-			pa.Stages[i].CIn = x
+			st.CIn = x
+			bPrev = b
 		}
 		sweeps = sweep
-		if maxRel < o.Tol {
+		if converged {
 			break
 		}
 	}
@@ -342,7 +393,7 @@ func AtSensitivity(m *delay.Model, pa *delay.Path, a float64, opts Options) (*Re
 	if a > 0 {
 		return nil, fmt.Errorf("sizing: sensitivity coefficient must be ≤ 0, got %g", a)
 	}
-	sweeps := solveSensitivity(m, pa, a, o)
+	sweeps := SolveSensitivity(m, pa, a, false, o)
 	res := o.distResult()
 	res.Delay = m.PathDelayWorst(pa)
 	res.MeanDelay = m.PathDelayMean(pa)
