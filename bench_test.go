@@ -805,3 +805,52 @@ func BenchmarkDistributeWithBuffers(b *testing.B) {
 		})
 	}
 }
+
+// suiteBenchSources serializes the 11 suite circuits to .bench text,
+// the inline sources a weak-domain client submits.
+func suiteBenchSources(b *testing.B) []string {
+	b.Helper()
+	var srcs []string
+	for _, spec := range iscas.Suite() {
+		c, err := iscas.Load(spec.Name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := netlist.WriteBench(&sb, c); err != nil {
+			b.Fatal(err)
+		}
+		srcs = append(srcs, sb.String())
+	}
+	return srcs
+}
+
+// BenchmarkParseBenchSuite measures inline-source ingestion — read,
+// elaborate, validate and fingerprint (engine.ParseBench) — over the
+// 11 suite sources, one op per pass.
+func BenchmarkParseBenchSuite(b *testing.B) {
+	srcs := suiteBenchSources(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, src := range srcs {
+			if _, err := engine.ParseBench(src); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkCircuitClone measures the per-task instantiation of a parsed
+// master netlist (netlist.Circuit.Clone) on the 6k-gate mix6000.
+func BenchmarkCircuitClone(b *testing.B) {
+	c, err := iscas.Load("mix6000")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if c.Clone() == nil {
+			b.Fatal("nil clone")
+		}
+	}
+}

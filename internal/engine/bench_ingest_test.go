@@ -233,3 +233,30 @@ func TestResultMemoKeyedByContent(t *testing.T) {
 		t.Fatal("suite name has no fingerprint alias")
 	}
 }
+
+// TestParseBenchAllocCeiling bounds the allocations of one inline
+// ingestion (read, elaborate, validate, fingerprint) of c432. The
+// builders take nodes and pin lists from per-circuit slabs, so the
+// count no longer grows with the gate count; a regression to per-node
+// or per-pin allocation would multiply it.
+func TestParseBenchAllocCeiling(t *testing.T) {
+	c, err := iscas.Load("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := netlist.WriteBench(&sb, c); err != nil {
+		t.Fatal(err)
+	}
+	src := sb.String()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := ParseBench(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("c432 parse: %.0f allocs", allocs)
+	const ceiling = 85 // measured 76 with go1.24
+	if allocs > ceiling {
+		t.Fatalf("c432 parse made %.0f allocations, over the ceiling of %d", allocs, ceiling)
+	}
+}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/iscas"
+	"repro/internal/netlist"
 )
 
 // FuzzOptimizeRequest fuzzes the POST /v1/optimize request decoder —
@@ -64,6 +66,49 @@ func FuzzOptimizeRequest(f *testing.F) {
 		}
 		if body.Bench != "" && body.parsed == nil {
 			t.Fatalf("accepted inline source %q without its parse", data)
+		}
+	})
+}
+
+// FuzzParseBench fuzzes the whole ingestion path under the service
+// caps — read, elaborate, validate, fingerprint — and the per-task
+// clone of its result: a rejection is a typed *netlist.BenchError, and
+// an accepted source yields a valid master whose clone is valid and
+// shares its fingerprint.
+func FuzzParseBench(f *testing.F) {
+	for _, s := range []string{
+		iscas.C17Bench(),
+		"INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\ny = XNOR(w, c, a)\nw = XOR(a, b)\n" +
+			"z = NOR(a, b, c, w, y, a, b, c, w)\n",
+		"INPUT(a)\nINPUT(b)\nx = AND(a,b,a,b,a,b)\nOUTPUT(x)\n",
+		"INPUT(a)\ny = OR(a)\nz = NAND(a)\nOUTPUT(y)\nOUTPUT(z)\n",
+		"INPUT(a)\nx = NAND(a, x)\nOUTPUT(x)\n",
+		"INPUT(a)\nx_x_1 = NOT(a)\nx = XOR(a, a, x_x_1)\nOUTPUT(x)\n",
+		"INPUT(a)\ny = NOT(a)\ny$po = NOT(y)\nOUTPUT(y)\n",
+		"INPUT(a)\n",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		pb, err := parseBenchService(src)
+		if err != nil {
+			var be *netlist.BenchError
+			if !errors.As(err, &be) {
+				t.Fatalf("untyped rejection %T: %v", err, err)
+			}
+			return
+		}
+		c := pb.Circuit
+		if err := c.Validate(); err != nil {
+			t.Fatalf("accepted source produced an invalid master: %v\n%s", err, src)
+		}
+		cl := c.Clone()
+		if err := cl.Validate(); err != nil {
+			t.Fatalf("clone invalid: %v\n%s", err, src)
+		}
+		if fp := netlist.Fingerprint(cl); fp != netlist.Fingerprint(c) || fp != pb.Key {
+			t.Fatalf("clone fingerprint %s, master %s, key %s", fp, netlist.Fingerprint(c), pb.Key)
 		}
 	})
 }

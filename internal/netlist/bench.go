@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/gate"
@@ -55,29 +55,42 @@ func ReadBench(r io.Reader, opts BenchOptions) (*Circuit, error) {
 		load = DefaultOutputLoad
 	}
 
-	type rawGate struct {
-		name string
-		op   string
-		args []string
-		line int
-	}
+	// The source is read whole into one string: every net name is a
+	// substring of it, and every gate's operands are a window of argv.
+	var text strings.Builder
+	_, readErr := io.Copy(&text, r)
+	src := text.String()
+
 	type decl struct {
 		name string
 		line int
 	}
+	// Pre-size the gate and operand lists for a well-formed source: one
+	// gate per '=', one operand per ',' plus one per gate. A gate line
+	// takes at least 7 bytes ("x=F(a)\n") and an operand 2, which caps
+	// the reservation for a malformed source at what a valid one of the
+	// same size would use.
+	gates := min(strings.Count(src, "="), len(src)/7+1)
 	var (
 		inputs  []decl
 		outputs []decl
-		raws    []rawGate
+		raws    = make([]rawGate, 0, gates)
+		argv    = make([]string, 0, min(strings.Count(src, ",")+gates, len(src)/2+1))
 		name    = opts.Name
 	)
 
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	lineNo := 0
-	for sc.Scan() {
+	for rest := src; rest != ""; {
+		line := rest
+		rest = ""
+		if i := strings.IndexByte(line, '\n'); i >= 0 {
+			line, rest = line[:i], line[i+1:]
+		}
+		if len(line) >= maxBenchLine {
+			return nil, benchErr(BenchTooLarge, lineNo+1, "line exceeds the scanner buffer")
+		}
 		lineNo++
-		line := sc.Text()
+		line = strings.TrimSuffix(line, "\r")
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			if name == "" {
 				c := strings.TrimSpace(line[i+1:])
@@ -114,10 +127,13 @@ func ReadBench(r io.Reader, opts BenchOptions) (*Circuit, error) {
 			if lhs == "" {
 				return nil, benchErr(BenchSyntax, lineNo, "assignment without a net name %q", line)
 			}
-			op, args, err := parseCall(rhs)
+			first := len(argv)
+			op, more, err := parseCall(rhs, argv)
 			if err != nil {
 				return nil, benchErr(BenchSyntax, lineNo, "%v", err)
 			}
+			argv = more
+			args := argv[first:]
 			if m := opts.Limits.MaxFanIn; m > 0 && len(args) > m {
 				return nil, benchErr(BenchTooLarge, lineNo,
 					"gate %q has %d inputs, over the %d-input cap", lhs, len(args), m)
@@ -129,18 +145,26 @@ func ReadBench(r io.Reader, opts BenchOptions) (*Circuit, error) {
 			raws = append(raws, rawGate{name: lhs, op: op, args: args, line: lineNo})
 		}
 	}
-	if err := sc.Err(); err != nil {
-		if err == bufio.ErrTooLong {
-			return nil, benchErr(BenchTooLarge, lineNo+1, "line exceeds the scanner buffer")
-		}
-		return nil, benchErr(BenchSyntax, 0, "read: %v", err)
+	if readErr != nil {
+		return nil, benchErr(BenchSyntax, 0, "read: %v", readErr)
 	}
 
-	c := New(name)
+	// Every source gate becomes at least one node and every operand or
+	// output at least one fanin and one fanout entry; decomposed wide
+	// gates take more, from further chunks.
+	c := newSized(name, len(inputs), len(outputs), len(inputs)+len(raws)+len(outputs), 2*(len(argv)+len(outputs)))
+	b := benchBuild{
+		c:       c,
+		raws:    raws,
+		nets:    make(map[string]int, len(inputs)+len(raws)),
+		built:   make([]*Node, len(raws)),
+		onStack: make([]bool, len(raws)),
+	}
 	for _, in := range inputs {
-		if c.Node(in.name) != nil {
+		if _, dup := b.nets[in.name]; dup {
 			return nil, benchErr(BenchSemantic, in.line, "duplicate INPUT(%s)", in.name)
 		}
+		b.nets[in.name] = -1 - len(c.Inputs)
 		if _, err := c.AddInput(in.name); err != nil {
 			return nil, benchErr(BenchSemantic, in.line, "%v", err)
 		}
@@ -148,59 +172,25 @@ func ReadBench(r io.Reader, opts BenchOptions) (*Circuit, error) {
 
 	// Two-pass construction to allow forward references: first register
 	// every gate output name, then wire fanin.
-	pending := make(map[string]rawGate, len(raws))
-	for _, rg := range raws {
-		if _, dup := pending[rg.name]; dup {
-			return nil, benchErr(BenchSemantic, rg.line, "duplicate gate %q", rg.name)
-		}
-		if c.Node(rg.name) != nil {
+	for i, rg := range raws {
+		if j, seen := b.nets[rg.name]; seen {
+			if j >= 0 {
+				return nil, benchErr(BenchSemantic, rg.line, "duplicate gate %q", rg.name)
+			}
 			return nil, benchErr(BenchSemantic, rg.line, "gate %q redefines an INPUT", rg.name)
 		}
-		pending[rg.name] = rg
-	}
-	defined := make(map[string]bool, len(inputs)+len(raws))
-	for _, in := range inputs {
-		defined[in.name] = true
+		b.nets[rg.name] = i
 	}
 
-	// Emit gates in dependency order by depth-first descent (the files
-	// are usually already ordered; this tolerates any order). onStack
-	// marks the current descent path for O(1) cycle detection — a
-	// linear trail scan here is quadratic on long chains, long enough
-	// to matter for a service parsing untrusted megabyte sources.
-	onStack := make(map[string]bool)
-	var emit func(name string, refLine int) error
-	emit = func(gname string, refLine int) error {
-		if defined[gname] {
-			return nil
-		}
-		rg, ok := pending[gname]
-		if !ok {
-			return benchErr(BenchSemantic, refLine, "undefined net %q referenced", gname)
-		}
-		if onStack[gname] {
-			return benchErr(BenchSemantic, rg.line, "combinational cycle through %q", gname)
-		}
-		onStack[gname] = true
-		for _, a := range rg.args {
-			if err := emit(a, rg.line); err != nil {
-				return err
-			}
-		}
-		delete(onStack, gname)
-		if err := addBenchGate(c, rg.name, rg.op, rg.args); err != nil {
-			return benchErr(BenchSemantic, rg.line, "%v", err)
-		}
-		defined[gname] = true
-		return nil
+	// Emit gates in name order, each after its operands (the files are
+	// usually already ordered; this tolerates any order).
+	order := make([]gateKey, len(raws))
+	for i, rg := range raws {
+		order[i] = gateKey{rg.name, i}
 	}
-	names := make([]string, 0, len(pending))
-	for n := range pending {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if err := emit(n, pending[n].line); err != nil {
+	slices.SortFunc(order, func(x, y gateKey) int { return strings.Compare(x.name, y.name) })
+	for _, k := range order {
+		if _, err := b.emit(k.i); err != nil {
 			return nil, err
 		}
 	}
@@ -211,50 +201,128 @@ func ReadBench(r io.Reader, opts BenchOptions) (*Circuit, error) {
 			return nil, benchErr(BenchSemantic, out.line, "duplicate OUTPUT(%s)", out.name)
 		}
 		seenOut[out.name] = true
-		if _, err := c.AddOutput(out.name, load); err != nil {
+		if _, err := c.addOutput(out.name, load); err != nil {
 			return nil, benchErr(BenchSemantic, out.line, "%v", err)
 		}
 	}
+	c.wireFanout()
 	return c, nil
 }
 
-// addBenchGate adds one parsed gate, decomposing wide operators into
-// balanced trees of library cells.
-func addBenchGate(c *Circuit, name, op string, args []string) error {
+// rawGate is one parsed gate line.
+type rawGate struct {
+	name string
+	op   string
+	args []string
+	line int
+}
+
+// gateKey sorts gates by name.
+type gateKey struct {
+	name string
+	i    int
+}
+
+// benchBuild emits the gates of one source by depth-first descent
+// through their operands. The onStack flags mark the current descent
+// path for O(1) cycle detection — a linear trail scan here is quadratic
+// on long chains, long enough to matter for a service parsing untrusted
+// megabyte sources.
+type benchBuild struct {
+	c        *Circuit
+	raws     []rawGate
+	nets     map[string]int // net name → gate index into raws, or -1-k for c.Inputs[k]
+	built    []*Node        // per gate: the node driving its net, once emitted
+	onStack  []bool
+	operands []*Node // operand stack of the gates being emitted
+}
+
+// net resolves the operand name, referenced on line refLine, emitting
+// its gate first if needed.
+func (b *benchBuild) net(name string, refLine int) (*Node, error) {
+	i, ok := b.nets[name]
+	if !ok {
+		return nil, benchErr(BenchSemantic, refLine, "undefined net %q referenced", name)
+	}
+	if i < 0 {
+		return b.c.Inputs[-1-i], nil
+	}
+	return b.emit(i)
+}
+
+// emit builds gate i after its operands and returns the node driving
+// its net.
+func (b *benchBuild) emit(i int) (*Node, error) {
+	if n := b.built[i]; n != nil {
+		return n, nil
+	}
+	rg := &b.raws[i]
+	if b.onStack[i] {
+		return nil, benchErr(BenchSemantic, rg.line, "combinational cycle through %q", rg.name)
+	}
+	b.onStack[i] = true
+	base := len(b.operands)
+	for _, a := range rg.args {
+		d, err := b.net(a, rg.line)
+		if err != nil {
+			return nil, err
+		}
+		b.operands = append(b.operands, d)
+	}
+	b.onStack[i] = false
+	n, err := addBenchGate(b.c, rg.name, rg.op, b.operands[base:])
+	b.operands = b.operands[:base]
+	if err != nil {
+		return nil, benchErr(BenchSemantic, rg.line, "%v", err)
+	}
+	b.built[i] = n
+	return n, nil
+}
+
+// maxBenchLine caps the length of one source line in bytes, carriage
+// return included: a line this long or longer is BenchTooLarge.
+const maxBenchLine = 4 * 1024 * 1024
+
+// addBenchGate adds one parsed gate on its operand nets args,
+// decomposing wide operators into balanced trees of library cells, and
+// returns the node driving the gate's net. Fanout lists are left to the
+// caller's wireFanout.
+func addBenchGate(c *Circuit, name, op string, args []*Node) (*Node, error) {
 	t, err := gate.ParseType(op)
 	if err != nil {
-		return fmt.Errorf("unsupported bench operator %q", op)
+		return nil, fmt.Errorf("unsupported bench operator %q", op)
 	}
 	n := len(args)
 	switch t {
 	case gate.Inv, gate.Buf:
 		if n != 1 {
-			return fmt.Errorf("%s expects 1 input, got %d", op, n)
+			return nil, fmt.Errorf("%s expects 1 input, got %d", op, n)
 		}
-		_, err = c.AddGate(name, t, args[0])
-		return err
+		return c.newGate(name, t, args...)
 	case gate.Xor2, gate.Xnor2:
 		// XOR/XNOR chains associate left: a^b^c = (a^b)^c.
 		if n < 2 {
-			return fmt.Errorf("%s expects >=2 inputs, got %d", op, n)
+			return nil, fmt.Errorf("%s expects >=2 inputs, got %d", op, n)
 		}
 		acc := args[0]
 		for i := 1; i < n; i++ {
-			tt := gate.Xor2
-			gname := c.genName(name + "_x")
-			if i == n-1 {
-				tt = t
-				gname = name
+			// The last link is the named root. It still advances the
+			// generated-name counter, on which every later generated
+			// name depends (pinned by the ingestion golden).
+			tt, gname := t, name
+			if i < n-1 {
+				tt, gname = gate.Xor2, c.genName(name, "_x")
+			} else {
+				c.skipGenName(name, "_x")
 			}
-			if _, err := c.AddGate(gname, tt, acc, args[i]); err != nil {
-				return err
+			if acc, err = c.newGate(gname, tt, acc, args[i]); err != nil {
+				return nil, err
 			}
-			acc = gname
 		}
-		return nil
+		return acc, nil
 	case gate.And2, gate.Or2, gate.Nand2, gate.Nor2:
 		if n < 1 {
-			return fmt.Errorf("%s expects inputs", op)
+			return nil, fmt.Errorf("%s expects inputs", op)
 		}
 		if n == 1 {
 			// Degenerate single-input AND/OR is a buffer; NAND/NOR an
@@ -263,91 +331,97 @@ func addBenchGate(c *Circuit, name, op string, args []string) error {
 			if t == gate.Nand2 || t == gate.Nor2 {
 				tt = gate.Inv
 			}
-			_, err := c.AddGate(name, tt, args[0])
-			return err
+			return c.newGate(name, tt, args...)
 		}
 		return addWide(c, name, t, args)
 	default:
-		return fmt.Errorf("unsupported bench operator %q", op)
+		return nil, fmt.Errorf("unsupported bench operator %q", op)
 	}
 }
 
 // addWide realizes an n-input AND/OR/NAND/NOR using library cells of
 // fan-in ≤ 4, decomposing as a balanced tree. The inverting forms apply
 // the inversion only at the root.
-func addWide(c *Circuit, name string, t gate.Type, args []string) error {
-	inverting := t == gate.Nand2 || t == gate.Nor2
-	var baseFamily gate.Type // non-inverting reduction family
+func addWide(c *Circuit, name string, t gate.Type, args []*Node) (*Node, error) {
+	w := wideGate{c: c, name: name, inverting: t == gate.Nand2 || t == gate.Nor2}
 	switch t {
 	case gate.And2, gate.Nand2:
-		baseFamily = gate.And2
+		w.family = gate.And2
 	case gate.Or2, gate.Nor2:
-		baseFamily = gate.Or2
+		w.family = gate.Or2
 	default:
-		return fmt.Errorf("addWide: bad family %v", t)
+		return nil, fmt.Errorf("addWide: bad family %v", t)
 	}
+	return w.build(args, true)
+}
 
-	var build func(nets []string, root bool) (string, error)
-	build = func(nets []string, root bool) (string, error) {
-		n := len(nets)
-		if n == 1 {
-			if root {
-				// Single net at root of inverting op: plain inverter.
-				if inverting {
-					_, err := c.AddGate(name, gate.Inv, nets[0])
-					return name, err
-				}
-				_, err := c.AddGate(name, gate.Buf, nets[0])
-				return name, err
+// wideGate is one addWide decomposition in progress.
+type wideGate struct {
+	c         *Circuit
+	name      string    // the source gate's output net, named at the root
+	family    gate.Type // non-inverting reduction family
+	inverting bool
+}
+
+// build reduces nets to one net, returning its driver.
+func (w *wideGate) build(nets []*Node, root bool) (*Node, error) {
+	c, name := w.c, w.name
+	n := len(nets)
+	if n == 1 {
+		if root {
+			// Single net at root of inverting op: plain inverter.
+			if w.inverting {
+				return c.newGate(name, gate.Inv, nets...)
 			}
-			return nets[0], nil
+			return c.newGate(name, gate.Buf, nets...)
 		}
-		if n <= 4 {
-			family := baseFamily
-			gname := c.genName(name + "_t")
-			if root {
-				gname = name
-				if inverting {
-					// NAND family root for AND reduction, NOR for OR.
-					if baseFamily == gate.And2 {
-						family = gate.Nand2
-					} else {
-						family = gate.Nor2
-					}
-				}
-			}
-			tt, ok := gate.VariantWithFanIn(family, n)
-			if !ok {
-				return "", fmt.Errorf("no %v variant with %d inputs", family, n)
-			}
-			_, err := c.AddGate(gname, tt, nets...)
-			return gname, err
-		}
-		// Split into up to 4 balanced groups.
-		groups := 4
-		if n <= 8 {
-			groups = (n + 2) / 3 // keep subtrees ≥ 2 wide where possible
-			if groups < 2 {
-				groups = 2
-			}
-		}
-		per := (n + groups - 1) / groups
-		var tops []string
-		for i := 0; i < n; i += per {
-			j := i + per
-			if j > n {
-				j = n
-			}
-			top, err := build(nets[i:j], false)
-			if err != nil {
-				return "", err
-			}
-			tops = append(tops, top)
-		}
-		return build(tops, root)
+		return nets[0], nil
 	}
-	_, err := build(args, true)
-	return err
+	if n <= 4 {
+		// The root keeps the gate's name but still advances the
+		// generated-name counter, like the XOR chain's last link.
+		family, gname := w.family, name
+		if !root {
+			gname = c.genName(name, "_t")
+		} else {
+			c.skipGenName(name, "_t")
+			if w.inverting {
+				// NAND family root for AND reduction, NOR for OR.
+				if w.family == gate.And2 {
+					family = gate.Nand2
+				} else {
+					family = gate.Nor2
+				}
+			}
+		}
+		tt, ok := gate.VariantWithFanIn(family, n)
+		if !ok {
+			return nil, fmt.Errorf("no %v variant with %d inputs", family, n)
+		}
+		return c.newGate(gname, tt, nets...)
+	}
+	// Split into up to 4 balanced groups.
+	groups := 4
+	if n <= 8 {
+		groups = (n + 2) / 3 // keep subtrees ≥ 2 wide where possible
+		if groups < 2 {
+			groups = 2
+		}
+	}
+	per := (n + groups - 1) / groups
+	var tops []*Node
+	for i := 0; i < n; i += per {
+		j := i + per
+		if j > n {
+			j = n
+		}
+		top, err := w.build(nets[i:j], false)
+		if err != nil {
+			return nil, err
+		}
+		tops = append(tops, top)
+	}
+	return w.build(tops, root)
 }
 
 // WriteBench serializes the circuit in ISCAS .bench format. Output
@@ -426,23 +500,25 @@ func parseParen(line, keyword string) (string, error) {
 	return arg, nil
 }
 
-// parseCall parses "OP(a, b, c)".
-func parseCall(rhs string) (op string, args []string, err error) {
+// parseCall parses "OP(a, b, c)", appending the operands to argv.
+func parseCall(rhs string, argv []string) (op string, _ []string, err error) {
 	open := strings.IndexByte(rhs, '(')
 	if open < 0 || !strings.HasSuffix(rhs, ")") {
-		return "", nil, fmt.Errorf("malformed gate expression %q", rhs)
+		return "", argv, fmt.Errorf("malformed gate expression %q", rhs)
 	}
 	op = strings.TrimSpace(rhs[:open])
-	inner := rhs[open+1 : len(rhs)-1]
-	for _, part := range strings.Split(inner, ",") {
+	first := len(argv)
+	for inner, more := rhs[open+1:len(rhs)-1], true; more; {
+		var part string
+		part, inner, more = strings.Cut(inner, ",")
 		p := strings.TrimSpace(part)
 		if p == "" {
-			return "", nil, fmt.Errorf("empty operand in %q", rhs)
+			return "", argv, fmt.Errorf("empty operand in %q", rhs)
 		}
-		args = append(args, p)
+		argv = append(argv, p)
 	}
-	if op == "" || len(args) == 0 {
-		return "", nil, fmt.Errorf("malformed gate expression %q", rhs)
+	if op == "" || len(argv) == first {
+		return "", argv, fmt.Errorf("malformed gate expression %q", rhs)
 	}
-	return op, args, nil
+	return op, argv, nil
 }

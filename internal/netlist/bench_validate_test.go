@@ -110,26 +110,74 @@ func TestReadBenchGateNamedLikeKeyword(t *testing.T) {
 	}
 }
 
+// TestReadBenchLineCap pins the line-length cap at its boundaries: a
+// line (carriage return included, newline not) of 4 MiB or more is
+// BenchTooLarge at its own line number, unless an earlier line was
+// already rejected; one byte shorter parses.
+func TestReadBenchLineCap(t *testing.T) {
+	const max = 4 << 20
+	long := func(n int) string { return "#" + strings.Repeat("x", n-1) }
+	body := "y = NOT(a)\nOUTPUT(y)\n"
+	cases := []struct {
+		name string
+		src  string
+		line int // 0: accepted
+		kind BenchErrorKind
+	}{
+		{"just under", "INPUT(a)\n" + long(max-1) + "\n" + body, 0, 0},
+		{"at cap", "INPUT(a)\n" + long(max) + "\n" + body, 2, BenchTooLarge},
+		{"carriage return counts", "INPUT(a)\n" + long(max-1) + "\r\n" + body, 2, BenchTooLarge},
+		{"under with carriage return", "INPUT(a)\n" + long(max-2) + "\r\n" + body, 0, 0},
+		{"last line under", "INPUT(a)\n" + body + long(max-1), 0, 0},
+		{"last line at cap", "INPUT(a)\n" + body + long(max), 4, BenchTooLarge},
+		{"earlier error wins", "INPUT(a)\njunk\n" + long(max+1), 2, BenchSyntax},
+	}
+	for _, tc := range cases {
+		_, err := ReadBench(strings.NewReader(tc.src), BenchOptions{})
+		if tc.line == 0 {
+			if err != nil {
+				t.Errorf("%s: rejected: %v", tc.name, err)
+			}
+			continue
+		}
+		var be *BenchError
+		if !errors.As(err, &be) || be.Kind != tc.kind || be.Line != tc.line {
+			t.Errorf("%s: got %v, want a %v rejection on line %d", tc.name, err, tc.kind, tc.line)
+		}
+	}
+}
+
+// failingReader yields src, then fails.
+type failingReader struct{ src *strings.Reader }
+
+func (r failingReader) Read(p []byte) (int, error) {
+	if r.src.Len() == 0 {
+		return 0, errors.New("disk on fire")
+	}
+	return r.src.Read(p)
+}
+
+// TestReadBenchReadError checks that the lines read before a reader
+// failure are still checked first, and that the failure itself is a
+// line-less BenchSyntax.
+func TestReadBenchReadError(t *testing.T) {
+	_, err := ReadBench(failingReader{strings.NewReader("INPUT(a)\njunk")}, BenchOptions{})
+	var be *BenchError
+	if !errors.As(err, &be) || be.Kind != BenchSyntax || be.Line != 2 {
+		t.Fatalf("bad line before the failure: %v", err)
+	}
+	_, err = ReadBench(failingReader{strings.NewReader("INPUT(a)\ny = NOT(a)\nOUTPUT(y)\n")}, BenchOptions{})
+	if !errors.As(err, &be) || be.Kind != BenchSyntax || be.Line != 0 || be.Msg != "read: disk on fire" {
+		t.Fatalf("reader failure: %v", err)
+	}
+}
+
 // FuzzReadBench asserts the untrusted-source contract on arbitrary
 // inputs: ReadBench either returns a structurally valid circuit or a
 // typed *BenchError — never a panic, never an untyped error. The seed
 // corpus covers every rejection class plus valid sources.
 func FuzzReadBench(f *testing.F) {
-	seeds := []string{
-		"",
-		"# c17\nINPUT(G1)\nINPUT(G3)\nOUTPUT(G10)\nG10 = NAND(G1, G3)\n",
-		"INPUT(a)\nx = NAND(a, x)\nOUTPUT(x)\n",      // cycle
-		"INPUT(a)\ny = NOT(a)\ny = NOT(a)\n",         // duplicate gate
-		"INPUT(a)\ny = NOT(a)\nOUTPUT(y)\nOUTPUT(y)", // duplicate output
-		"INPUT(a)\nx = FROB(a)\nOUTPUT(x)\n",         // unsupported op
-		"INPUT(a)\nx = NAND(a",                       // truncated
-		"INPUT(a)\nINPUT(b)\nx = AND(a,b,a,b,a,b)\n", // repeated pins
-		"OUTPUT(ghost)\n",                            // undefined output
-		"garbage\x00line\n",                          // binary junk
-		"INPUT(a)\n= NOT(a)\n",                       // empty lhs
-		"INPUT(a)\nINPUT(a)\n",                       // duplicate input
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzReadBenchSeeds {
 		f.Add(s)
 	}
 	lim := BenchLimits{MaxGates: 512, MaxFanIn: 16}
@@ -146,4 +194,26 @@ func FuzzReadBench(f *testing.F) {
 			t.Fatalf("accepted source produced an invalid circuit: %v\n%s", err, src)
 		}
 	})
+}
+
+// fuzzReadBenchSeeds is FuzzReadBench's seed corpus: every rejection
+// class plus valid sources, including forward references, XOR chains
+// and wide gates that decompose under generated names. The ingestion
+// golden also pins each seed's outcome.
+var fuzzReadBenchSeeds = []string{
+	"",
+	"# c17\nINPUT(G1)\nINPUT(G3)\nOUTPUT(G10)\nG10 = NAND(G1, G3)\n",
+	"INPUT(a)\nx = NAND(a, x)\nOUTPUT(x)\n",      // cycle
+	"INPUT(a)\ny = NOT(a)\ny = NOT(a)\n",         // duplicate gate
+	"INPUT(a)\ny = NOT(a)\nOUTPUT(y)\nOUTPUT(y)", // duplicate output
+	"INPUT(a)\nx = FROB(a)\nOUTPUT(x)\n",         // unsupported op
+	"INPUT(a)\nx = NAND(a",                       // truncated
+	"INPUT(a)\nINPUT(b)\nx = AND(a,b,a,b,a,b)\n", // repeated pins
+	"OUTPUT(ghost)\n",                            // undefined output
+	"garbage\x00line\n",                          // binary junk
+	"INPUT(a)\n= NOT(a)\n",                       // empty lhs
+	"INPUT(a)\nINPUT(a)\n",                       // duplicate input
+	// forward references, an XOR chain and a 9-input NOR tree
+	"INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\ny = XNOR(w, c, a)\nw = XOR(a, b)\n" +
+		"z = NOR(a, b, c, w, y, a, b, c, w)\n",
 }

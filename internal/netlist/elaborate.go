@@ -23,122 +23,137 @@ func Elaborate(c *Circuit) (*Circuit, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := New(c.Name)
+	nodes, pins := 0, 0
+	for _, n := range c.Nodes {
+		k, p := expansionSize(n)
+		nodes += k
+		pins += p
+	}
+	d := newSized(c.Name, len(c.Inputs), len(c.Outputs), nodes, 2*pins)
+	// to[id] is the elaborated node carrying source node id's net, so
+	// fanin is wired by ID instead of by name.
+	to := make([]*Node, c.IDBound())
 	for _, n := range order {
+		var m *Node
 		switch {
 		case n.Type == gate.Input:
-			if _, err := d.AddInput(n.Name); err != nil {
-				return nil, err
-			}
+			m, err = d.AddInput(n.Name)
 		case n.Type == gate.Output:
-			if _, err := d.AddOutput(n.Fanin[0].Name, n.CIn); err != nil {
-				return nil, err
+			// AddOutput's name for the net; the source's own is
+			// normally the same string, and sharing it saves a copy.
+			f, name := n.Fanin[0], n.Name
+			if name != f.Name+"$po" {
+				name = f.Name + "$po"
 			}
+			m, err = d.linkOutput(to[f.ID], name, n.CIn)
 		case gate.IsPrimitive(n.Type):
-			m, err := d.AddGate(n.Name, n.Type, faninNames(n)...)
-			if err != nil {
-				return nil, err
+			m, err = d.mapGate(n.Name, n.Type, to, n.Fanin)
+			if err == nil {
+				m.CIn = n.CIn
+				m.CWire = n.CWire
 			}
-			m.CIn = n.CIn
-			m.CWire = n.CWire
 		default:
-			if err := expandComposite(d, n); err != nil {
-				return nil, err
-			}
+			m, err = expandComposite(d, n, to)
 		}
+		if err != nil {
+			return nil, err
+		}
+		to[n.ID] = m
 	}
+	d.wireFanout()
 	return d, nil
 }
 
-func faninNames(n *Node) []string {
-	names := make([]string, len(n.Fanin))
-	for i, f := range n.Fanin {
-		names[i] = f.Name
+// expansionSize returns how many nodes and fanin pins Elaborate
+// creates for n.
+func expansionSize(n *Node) (nodes, pins int) {
+	switch n.Type {
+	case gate.And2, gate.And3, gate.And4, gate.Or2, gate.Or3, gate.Or4:
+		return 2, len(n.Fanin) + 1
+	case gate.Xor2:
+		return 4, 8
+	case gate.Xnor2:
+		return 5, 9
 	}
-	return names
+	return 1, len(n.Fanin)
 }
 
-func expandComposite(d *Circuit, n *Node) error {
-	in := faninNames(n)
+// mapGate adds a cell named name to the elaborated circuit d, fed by
+// the elaborated nets to[f.ID] of the source nodes f in in. Fanout is
+// left to wireFanout.
+func (d *Circuit) mapGate(name string, t gate.Type, to, in []*Node) (*Node, error) {
+	if err := d.checkGate(name, t, len(in)); err != nil {
+		return nil, err
+	}
+	drivers := d.carve(len(in))
+	for i, f := range in {
+		drivers[i] = to[f.ID]
+	}
+	return d.linkGate(name, t, drivers)
+}
+
+func expandComposite(d *Circuit, n *Node, to []*Node) (*Node, error) {
 	cin := n.CIn
 	if cin <= 0 {
 		cin = 0
 	}
-	set := func(m *Node) {
-		m.CIn = cin
-	}
 	switch n.Type {
-	case gate.And2, gate.And3, gate.And4:
-		nandT, _ := gate.VariantWithFanIn(gate.Nand2, len(in))
-		inner := d.genName(n.Name + "_n")
-		g, err := d.AddGate(inner, nandT, in...)
-		if err != nil {
-			return err
+	case gate.And2, gate.And3, gate.And4, gate.Or2, gate.Or3, gate.Or4:
+		// AND_n → NAND_n + INV, OR_n → NOR_n + INV.
+		family := gate.Nand2
+		if n.Type == gate.Or2 || n.Type == gate.Or3 || n.Type == gate.Or4 {
+			family = gate.Nor2
 		}
-		set(g)
-		g2, err := d.AddGate(n.Name, gate.Inv, inner)
+		innerT, _ := gate.VariantWithFanIn(family, len(n.Fanin))
+		g, err := d.mapGate(d.genName(n.Name, "_n"), innerT, to, n.Fanin)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		set(g2)
+		g.CIn = cin
+		g2, err := d.newGate(n.Name, gate.Inv, g)
+		if err != nil {
+			return nil, err
+		}
+		g2.CIn = cin
 		g2.CWire = n.CWire
-		return nil
-	case gate.Or2, gate.Or3, gate.Or4:
-		norT, _ := gate.VariantWithFanIn(gate.Nor2, len(in))
-		inner := d.genName(n.Name + "_n")
-		g, err := d.AddGate(inner, norT, in...)
-		if err != nil {
-			return err
-		}
-		set(g)
-		g2, err := d.AddGate(n.Name, gate.Inv, inner)
-		if err != nil {
-			return err
-		}
-		set(g2)
-		g2.CWire = n.CWire
-		return nil
+		return g2, nil
 	case gate.Xor2:
-		return expandXor(d, n.Name, in[0], in[1], cin, n.CWire)
+		return expandXor(d, n.Name, to[n.Fanin[0].ID], to[n.Fanin[1].ID], cin, n.CWire)
 	case gate.Xnor2:
 		// XNOR(a,b) = XOR(a, ¬b).
-		nb := d.genName(n.Name + "_i")
-		g, err := d.AddGate(nb, gate.Inv, in[1])
+		g, err := d.mapGate(d.genName(n.Name, "_i"), gate.Inv, to, n.Fanin[1:2])
 		if err != nil {
-			return err
+			return nil, err
 		}
-		set(g)
-		return expandXor(d, n.Name, in[0], nb, cin, n.CWire)
+		g.CIn = cin
+		return expandXor(d, n.Name, to[n.Fanin[0].ID], g, cin, n.CWire)
 	}
-	return fmt.Errorf("netlist %s: cannot expand %v", d.Name, n.Type)
+	return nil, fmt.Errorf("netlist %s: cannot expand %v", d.Name, n.Type)
 }
 
 // expandXor emits the four-NAND XOR with output net name out.
-func expandXor(d *Circuit, out, a, b string, cin, cwire float64) error {
-	m := d.genName(out + "_m")
-	g1, err := d.AddGate(m, gate.Nand2, a, b)
+func expandXor(d *Circuit, out string, a, b *Node, cin, cwire float64) (*Node, error) {
+	g1, err := d.newGate(d.genName(out, "_m"), gate.Nand2, a, b)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	na := d.genName(out + "_a")
-	g2, err := d.AddGate(na, gate.Nand2, a, m)
+	g2, err := d.newGate(d.genName(out, "_a"), gate.Nand2, a, g1)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	nb := d.genName(out + "_b")
-	g3, err := d.AddGate(nb, gate.Nand2, b, m)
+	g3, err := d.newGate(d.genName(out, "_b"), gate.Nand2, b, g1)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	g4, err := d.AddGate(out, gate.Nand2, na, nb)
+	g4, err := d.newGate(out, gate.Nand2, g2, g3)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, g := range []*Node{g1, g2, g3, g4} {
 		g.CIn = cin
 	}
 	g4.CWire = cwire
-	return nil
+	return g4, nil
 }
 
 // IsElaborated reports whether every logic cell of the circuit is a

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
-	"io"
 	"math"
 )
 
@@ -17,19 +16,27 @@ import (
 // silently diverge, and the hash is collision-resistant because these
 // identities key shared caches fed by untrusted inputs.
 type CanonicalHasher struct {
-	h   hash.Hash
-	buf [8]byte
+	h hash.Hash
+	// buf holds encoded bytes not yet written to h: SHA-256 absorbs
+	// them in blocks of about hasherBlock bytes, not field by field.
+	buf []byte
 }
+
+// hasherBlock is the buffered encoding size at which CanonicalHasher
+// writes to the hash.
+const hasherBlock = 4096
 
 // NewCanonicalHasher returns an empty canonical hasher.
 func NewCanonicalHasher() *CanonicalHasher {
-	return &CanonicalHasher{h: sha256.New()}
+	return &CanonicalHasher{h: sha256.New(), buf: make([]byte, 0, hasherBlock+64)}
 }
 
 // Word absorbs a 64-bit value.
 func (c *CanonicalHasher) Word(u uint64) {
-	binary.LittleEndian.PutUint64(c.buf[:], u)
-	c.h.Write(c.buf[:])
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, u)
+	if len(c.buf) >= hasherBlock {
+		c.flush()
+	}
 }
 
 // Float absorbs a float64 by its exact bit pattern.
@@ -37,12 +44,24 @@ func (c *CanonicalHasher) Float(f float64) { c.Word(math.Float64bits(f)) }
 
 // Str absorbs a length-prefixed string.
 func (c *CanonicalHasher) Str(s string) {
-	c.Word(uint64(len(s)))
-	io.WriteString(c.h, s)
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(len(s)))
+	c.buf = append(c.buf, s...)
+	if len(c.buf) >= hasherBlock {
+		c.flush()
+	}
+}
+
+// flush writes the buffered encoding to the hash.
+func (c *CanonicalHasher) flush() {
+	c.h.Write(c.buf)
+	c.buf = c.buf[:0]
 }
 
 // Sum returns the 64-hex-character digest of everything absorbed.
-func (c *CanonicalHasher) Sum() string { return hex.EncodeToString(c.h.Sum(nil)) }
+func (c *CanonicalHasher) Sum() string {
+	c.flush()
+	return hex.EncodeToString(c.h.Sum(nil))
+}
 
 // Fingerprint returns a canonical content hash of the circuit: 64 hex
 // characters of SHA-256 over the complete structural and sizing state —

@@ -32,7 +32,7 @@ func (c *Circuit) InsertCell(driver *Node, t gate.Type, sinks []*Node, cin float
 			return nil, fmt.Errorf("netlist %s: %s is not a sink of %s", c.Name, s.Name, driver.Name)
 		}
 	}
-	name := c.genName(driver.Name + "_" + strings.ToLower(t.String()))
+	name := c.genName(driver.Name, "_"+strings.ToLower(t.String()))
 	n, err := c.addNode(name, t)
 	if err != nil {
 		return nil, err
@@ -111,7 +111,7 @@ func (c *Circuit) SpliceInput(n *Node, pin int, t gate.Type, cin float64) (*Node
 		return nil, fmt.Errorf("netlist %s: SpliceInput requires single-input cell, got %v", c.Name, t)
 	}
 	driver := n.Fanin[pin]
-	name := c.genName(driver.Name + "_" + strings.ToLower(t.String()))
+	name := c.genName(driver.Name, "_"+strings.ToLower(t.String()))
 	m, err := c.addNode(name, t)
 	if err != nil {
 		return nil, err

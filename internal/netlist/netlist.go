@@ -11,6 +11,7 @@ package netlist
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/gate"
 	"repro/internal/tech"
@@ -86,7 +87,23 @@ type Circuit struct {
 	nextID int
 	genSeq int    // counter for generated (inserted) node names
 	epoch  uint64 // structural mutation counter (see Epoch)
+
+	// Node and pin storage (see "Ingestion" in docs/ARCHITECTURE.md):
+	// addNode takes nodes from the unused tail of the current node
+	// chunk, and the builders carve fanin/fanout slices from the unused
+	// tail of the current pin chunk with cap == len, so a mutator's
+	// append reallocates instead of overwriting a neighbour's pins.
+	nodeSlab []Node
+	pinSlab  []*Node
 }
+
+// Chunk sizes for node and pin storage grown one node at a time (the
+// generators, mutators after a clone). The bulk builders reserve
+// exactly what they need up front.
+const (
+	nodeChunk = 32
+	pinChunk  = 128
+)
 
 // Epoch returns the circuit's structural mutation epoch: a counter
 // bumped by every mutation that can invalidate a cached topological
@@ -121,6 +138,46 @@ func New(name string) *Circuit {
 	return &Circuit{Name: name, byName: make(map[string]*Node)}
 }
 
+// newSized returns an empty circuit with room for the given numbers of
+// inputs, outputs and nodes, and for pins fanin plus fanout entries:
+// counts a bulk builder already knows.
+func newSized(name string, inputs, outputs, nodes, pins int) *Circuit {
+	c := &Circuit{
+		Name:    name,
+		Nodes:   make([]*Node, 0, nodes),
+		Inputs:  make([]*Node, 0, inputs),
+		Outputs: make([]*Node, 0, outputs),
+		byName:  make(map[string]*Node, nodes),
+	}
+	c.reserve(nodes, pins)
+	return c
+}
+
+// reserve makes room for nodes more nodes and pins more pin slots in
+// one chunk each, replacing a current chunk too short to hold them.
+func (c *Circuit) reserve(nodes, pins int) {
+	if len(c.nodeSlab) < nodes {
+		c.nodeSlab = make([]Node, nodes)
+	}
+	if len(c.pinSlab) < pins {
+		c.pinSlab = make([]*Node, pins)
+	}
+}
+
+// carve returns k pin slots with cap == len, so appending to the
+// result never writes into slots carved for another node.
+func (c *Circuit) carve(k int) []*Node {
+	if k == 0 {
+		return nil
+	}
+	if len(c.pinSlab) < k {
+		c.pinSlab = make([]*Node, max(k, pinChunk))
+	}
+	s := c.pinSlab[:k:k]
+	c.pinSlab = c.pinSlab[k:]
+	return s
+}
+
 // Node returns the node with the given name, or nil.
 func (c *Circuit) Node(name string) *Node { return c.byName[name] }
 
@@ -132,7 +189,12 @@ func (c *Circuit) addNode(name string, t gate.Type) (*Node, error) {
 	if _, dup := c.byName[name]; dup {
 		return nil, fmt.Errorf("netlist %s: duplicate node name %q", c.Name, name)
 	}
-	n := &Node{ID: c.nextID, Name: name, Type: t}
+	if len(c.nodeSlab) == 0 {
+		c.nodeSlab = make([]Node, nodeChunk)
+	}
+	n := &c.nodeSlab[0]
+	c.nodeSlab = c.nodeSlab[1:]
+	*n = Node{ID: c.nextID, Name: name, Type: t}
 	c.nextID++
 	c.Nodes = append(c.Nodes, n)
 	c.byName[name] = n
@@ -153,18 +215,10 @@ func (c *Circuit) AddInput(name string) (*Node, error) {
 // AddGate adds a logic cell named by its output net, fed by the named
 // driver nets (which must already exist).
 func (c *Circuit) AddGate(name string, t gate.Type, fanin ...string) (*Node, error) {
-	if !gate.IsLogic(t) {
-		return nil, fmt.Errorf("netlist %s: %v is not a logic cell", c.Name, t)
-	}
-	cell, err := gate.Lookup(t)
-	if err != nil {
+	if err := c.checkGate(name, t, len(fanin)); err != nil {
 		return nil, err
 	}
-	if len(fanin) != cell.FanIn {
-		return nil, fmt.Errorf("netlist %s: gate %s type %v wants %d inputs, got %d",
-			c.Name, name, t, cell.FanIn, len(fanin))
-	}
-	drivers := make([]*Node, len(fanin))
+	drivers := c.carve(len(fanin))
 	for i, f := range fanin {
 		d := c.byName[f]
 		if d == nil {
@@ -172,42 +226,142 @@ func (c *Circuit) AddGate(name string, t gate.Type, fanin ...string) (*Node, err
 		}
 		drivers[i] = d
 	}
-	n, err := c.addNode(name, t)
+	n, err := c.linkGate(name, t, drivers)
 	if err != nil {
 		return nil, err
 	}
-	n.CIn = DefaultGateCIn
-	n.Fanin = drivers
 	for _, d := range drivers {
 		d.Fanout = append(d.Fanout, n)
 	}
 	return n, nil
 }
 
+// newGate adds a logic cell fed by the driver nodes in (copied),
+// leaving fanout to the caller: the bulk builders register every
+// fanout in one pass at the end (wireFanout).
+func (c *Circuit) newGate(name string, t gate.Type, in ...*Node) (*Node, error) {
+	if err := c.checkGate(name, t, len(in)); err != nil {
+		return nil, err
+	}
+	drivers := c.carve(len(in))
+	copy(drivers, in)
+	return c.linkGate(name, t, drivers)
+}
+
+// checkGate checks that t is a logic cell taking pins inputs.
+func (c *Circuit) checkGate(name string, t gate.Type, pins int) error {
+	if !gate.IsLogic(t) {
+		return fmt.Errorf("netlist %s: %v is not a logic cell", c.Name, t)
+	}
+	cell, err := gate.Lookup(t)
+	if err != nil {
+		return err
+	}
+	if pins != cell.FanIn {
+		return fmt.Errorf("netlist %s: gate %s type %v wants %d inputs, got %d",
+			c.Name, name, t, cell.FanIn, pins)
+	}
+	return nil
+}
+
+// linkGate registers a checked logic cell on drivers, a carved slice
+// it takes over as the cell's fanin. Fanout is left to the caller.
+func (c *Circuit) linkGate(name string, t gate.Type, drivers []*Node) (*Node, error) {
+	n, err := c.addNode(name, t)
+	if err != nil {
+		return nil, err
+	}
+	n.CIn = DefaultGateCIn
+	n.Fanin = drivers
+	return n, nil
+}
+
 // AddOutput declares that net name is a primary output, creating an
 // observation pseudo-node carrying the terminal load.
 func (c *Circuit) AddOutput(name string, load float64) (*Node, error) {
+	n, err := c.addOutput(name, load)
+	if err != nil {
+		return nil, err
+	}
+	d := n.Fanin[0]
+	d.Fanout = append(d.Fanout, n)
+	return n, nil
+}
+
+// addOutput is AddOutput without the fanout registration.
+func (c *Circuit) addOutput(name string, load float64) (*Node, error) {
 	d := c.byName[name]
 	if d == nil {
 		return nil, fmt.Errorf("netlist %s: output references undefined net %q", c.Name, name)
 	}
-	n, err := c.addNode(name+"$po", gate.Output)
+	return c.linkOutput(d, name+"$po", load)
+}
+
+// linkOutput creates the observation pseudo-node name on net d.
+// Fanout is left to the caller.
+func (c *Circuit) linkOutput(d *Node, name string, load float64) (*Node, error) {
+	n, err := c.addNode(name, gate.Output)
 	if err != nil {
 		return nil, err
 	}
-	n.Fanin = []*Node{d}
+	n.Fanin = c.carve(1)
+	n.Fanin[0] = d
 	n.CIn = load
-	d.Fanout = append(d.Fanout, n)
 	c.Outputs = append(c.Outputs, n)
 	return n, nil
 }
 
-// genName produces a fresh node name with the given prefix.
-func (c *Circuit) genName(prefix string) string {
+// wireFanout fills every node's fanout list from the fanin lists, in
+// the order AddGate and AddOutput would have appended them: sinks in
+// creation order, each sink's pins in pin order. The lists are carved
+// from one reservation with cap == len. The bulk builders call it once,
+// on the circuit they created, after creating every node with
+// newGate/linkGate/linkOutput.
+func (c *Circuit) wireFanout() {
+	count := make([]int32, c.nextID)
+	pins := 0
+	for _, n := range c.Nodes {
+		for _, f := range n.Fanin {
+			count[f.ID]++
+		}
+		pins += len(n.Fanin)
+	}
+	c.reserve(0, pins)
+	for _, n := range c.Nodes {
+		n.Fanout = c.carve(int(count[n.ID]))[:0]
+	}
+	for _, n := range c.Nodes {
+		for _, f := range n.Fanin {
+			f.Fanout = append(f.Fanout, n)
+		}
+	}
+	// A build's epoch is one bump per node it created, exactly as if
+	// each node had been added with AddGate or AddOutput; wiring the
+	// fanout lists completes those additions and adds no bump of its
+	// own.
+	c.epoch = uint64(c.nextID)
+}
+
+// genName produces a fresh node name base+tag+"_"+k, for the next k of
+// the circuit's counter whose name is not taken.
+func (c *Circuit) genName(base, tag string) string {
+	var buf [64]byte
+	return string(c.appendGenName(buf[:0], base, tag))
+}
+
+// skipGenName advances the counter exactly as genName would, for a
+// builder that draws a name it then does not use.
+func (c *Circuit) skipGenName(base, tag string) {
+	var buf [64]byte
+	c.appendGenName(buf[:0], base, tag)
+}
+
+// appendGenName appends genName's result to dst.
+func (c *Circuit) appendGenName(dst []byte, base, tag string) []byte {
 	for {
 		c.genSeq++
-		name := fmt.Sprintf("%s_%d", prefix, c.genSeq)
-		if _, taken := c.byName[name]; !taken {
+		name := strconv.AppendInt(append(append(append(dst, base...), tag...), '_'), int64(c.genSeq), 10)
+		if _, taken := c.byName[string(name)]; !taken {
 			return name
 		}
 	}
@@ -245,17 +399,19 @@ func (c *Circuit) Validate() error {
 		default:
 			return fmt.Errorf("netlist %s: node %s has invalid type %v", c.Name, n.Name, n.Type)
 		}
-		// Fanin/fanout must agree with per-pin multiplicity: a sink
-		// taking a driver on k pins appears k times in its fanout.
-		pins := make(map[*Node]int)
 		for _, f := range n.Fanin {
 			if c.byName[f.Name] != f {
 				return fmt.Errorf("netlist %s: node %s fanin %s is not registered", c.Name, n.Name, f.Name)
 			}
-			pins[f]++
 		}
-		for f, k := range pins {
-			if got := countOf(f.Fanout, n); got != k {
+		// Fanin/fanout must agree with per-pin multiplicity: a sink
+		// taking a driver on k pins appears k times in its fanout.
+		// Drivers are checked at their first pin, in pin order.
+		for i, f := range n.Fanin {
+			if contains(n.Fanin[:i], f) {
+				continue
+			}
+			if k, got := countOf(n.Fanin[i:], f), countOf(f.Fanout, n); got != k {
 				return fmt.Errorf("netlist %s: %s drives %s on %d pins but has %d fanout entries",
 					c.Name, f.Name, n.Name, k, got)
 			}
@@ -308,14 +464,18 @@ type TopoScratch struct {
 	next  []*Node // per-step newly-ready batch
 }
 
-//pops:noalloc buffers reused; make runs only under the cap guard
-func (s *TopoScratch) grow(idBound int) {
+//pops:noalloc buffers reused; make runs only under the cap guards
+func (s *TopoScratch) grow(idBound, nodes int) {
 	if cap(s.indeg) < idBound {
 		s.indeg = make([]int, idBound)
 	}
 	s.indeg = s.indeg[:idBound]
 	for i := range s.indeg {
 		s.indeg[i] = 0
+	}
+	// Every node passes through the Kahn FIFO once.
+	if cap(s.ready) < nodes {
+		s.ready = make([]*Node, 0, nodes)
 	}
 	s.ready = s.ready[:0]
 	s.next = s.next[:0]
@@ -331,7 +491,7 @@ func (c *Circuit) TopoOrderInto(dst []*Node, scratch *TopoScratch) ([]*Node, err
 	if scratch == nil {
 		scratch = &TopoScratch{} //popslint:ignore noalloc convenience path for one-shot callers; hot callers pass their scratch
 	}
-	scratch.grow(c.nextID)
+	scratch.grow(c.nextID, len(c.Nodes))
 	indeg := scratch.indeg
 	// ready doubles as the FIFO of Kahn's algorithm: head walks it while
 	// newly-ready batches are sorted and appended at the tail.
@@ -393,34 +553,47 @@ func sortNodesByID(ns []*Node) {
 // Clone returns a deep copy of the circuit, preserving node names, IDs,
 // types, sizing state and connectivity. Optimizers clone before
 // speculative mutations.
+//
+// The copy's nodes live in one slab indexed by ID, so a node's copy is
+// found from its ID alone; IDs freed by removals leave unused slots.
+// Fanin and fanout lists are carved from one pin slab.
 func (c *Circuit) Clone() *Circuit {
-	d := New(c.Name)
-	d.nextID = c.nextID
-	d.genSeq = c.genSeq
+	pins := 0
+	for _, n := range c.Nodes {
+		pins += len(n.Fanin) + len(n.Fanout)
+	}
+	d := &Circuit{
+		Name:    c.Name,
+		Nodes:   make([]*Node, len(c.Nodes)),
+		Inputs:  make([]*Node, len(c.Inputs)),
+		Outputs: make([]*Node, len(c.Outputs)),
+		byName:  make(map[string]*Node, len(c.Nodes)),
+		nextID:  c.nextID,
+		genSeq:  c.genSeq,
+		pinSlab: make([]*Node, pins),
+	}
 	d.epoch = c.epoch
-	clone := make(map[*Node]*Node, len(c.Nodes))
-	for _, n := range c.Nodes {
-		m := &Node{ID: n.ID, Name: n.Name, Type: n.Type, CIn: n.CIn, CWire: n.CWire, Vt: n.Vt}
-		d.Nodes = append(d.Nodes, m)
+	slab := make([]Node, c.nextID)
+	copyPins := func(src []*Node) []*Node {
+		dst := d.carve(len(src))
+		for i, f := range src {
+			dst[i] = &slab[f.ID]
+		}
+		return dst
+	}
+	for i, n := range c.Nodes {
+		m := &slab[n.ID]
+		*m = Node{ID: n.ID, Name: n.Name, Type: n.Type, CIn: n.CIn, CWire: n.CWire, Vt: n.Vt}
+		m.Fanin = copyPins(n.Fanin)
+		m.Fanout = copyPins(n.Fanout)
+		d.Nodes[i] = m
 		d.byName[m.Name] = m
-		clone[n] = m
 	}
-	for _, n := range c.Nodes {
-		m := clone[n]
-		m.Fanin = make([]*Node, len(n.Fanin))
-		for i, f := range n.Fanin {
-			m.Fanin[i] = clone[f]
-		}
-		m.Fanout = make([]*Node, len(n.Fanout))
-		for i, f := range n.Fanout {
-			m.Fanout[i] = clone[f]
-		}
+	for i, n := range c.Inputs {
+		d.Inputs[i] = &slab[n.ID]
 	}
-	for _, n := range c.Inputs {
-		d.Inputs = append(d.Inputs, clone[n])
-	}
-	for _, n := range c.Outputs {
-		d.Outputs = append(d.Outputs, clone[n])
+	for i, n := range c.Outputs {
+		d.Outputs[i] = &slab[n.ID]
 	}
 	return d
 }

@@ -410,3 +410,24 @@ func TestHasPrefixFoldShortLine(t *testing.T) {
 		t.Fatal("case-insensitive prefix failed")
 	}
 }
+
+// TestValidateMismatchDeterministic pins which mismatch Validate
+// reports when several drivers of one sink disagree with their fanout
+// lists: the first in pin order, on every run.
+func TestValidateMismatchDeterministic(t *testing.T) {
+	c := New("t")
+	mustInput(t, c, "a")
+	mustInput(t, c, "b")
+	mustInput(t, c, "c")
+	g := mustGate(t, c, "g", gate.Nand3, "b", "a", "c")
+	for _, d := range []string{"a", "b", "c"} {
+		removeFromFanout(c.Node(d), g)
+	}
+	const want = "netlist t: b drives g on 1 pins but has 0 fanout entries"
+	for i := 0; i < 50; i++ {
+		err := c.Validate()
+		if err == nil || err.Error() != want {
+			t.Fatalf("run %d: Validate = %v, want %q", i, err, want)
+		}
+	}
+}
