@@ -108,3 +108,50 @@ func TestGateTermsMatchPerEdgeModel(t *testing.T) {
 		}
 	}
 }
+
+// TestGateTermsMonotoneAlongLadder pins the invariant the multi-Vt
+// pass's block trials rely on: raising a gate's threshold class never
+// shortens its delays or output transitions, and a slower input slope
+// never shortens a delay, for every primitive over a cin/cl/τ grid. So
+// every arrival time only grows as gates move up the ladder, and a set
+// of promotions that meets a budget together meets it in every subset.
+func TestGateTermsMonotoneAlongLadder(t *testing.T) {
+	ladder := tech.VtClasses()
+	taus := []float64{0, 4, 18.5, 73, 310}
+	for _, slope := range []bool{true, false} {
+		for _, miller := range []bool{true, false} {
+			m := NewModel(tech.CMOS025())
+			m.SlopeEffect, m.CoupleMiller = slope, miller
+			for _, ty := range gate.Primitives() {
+				c := gate.MustLookup(ty)
+				for _, cin := range []float64{0.5, 0.9, 3.4, 17, 95} {
+					for _, cl := range []float64{cin, 4.5*cin + 12.25, 40 * cin, 600} {
+						for i := 1; i < len(ladder); i++ {
+							lo := m.GateTermsVt(c, cin, cl, ladder[i-1])
+							hi := m.GateTermsVt(c, cin, cl, ladder[i])
+							if hi.TauHL < lo.TauHL || hi.TauLH < lo.TauLH {
+								t.Fatalf("%v cin %g cl %g (slope %v, miller %v): transitions fall from %v to %v",
+									ty, cin, cl, slope, miller, ladder[i-1], ladder[i])
+							}
+							for _, tau := range taus {
+								if hi.DelayHL(tau) < lo.DelayHL(tau) || hi.DelayLH(tau) < lo.DelayLH(tau) {
+									t.Fatalf("%v cin %g cl %g tau %g (slope %v, miller %v): delays fall from %v to %v",
+										ty, cin, cl, tau, slope, miller, ladder[i-1], ladder[i])
+								}
+							}
+						}
+						for _, v := range ladder {
+							g := m.GateTermsVt(c, cin, cl, v)
+							for i := 1; i < len(taus); i++ {
+								if g.DelayHL(taus[i]) < g.DelayHL(taus[i-1]) || g.DelayLH(taus[i]) < g.DelayLH(taus[i-1]) {
+									t.Fatalf("%v %v cin %g cl %g (slope %v, miller %v): delay falls as tau grows to %g",
+										ty, v, cin, cl, slope, miller, taus[i])
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

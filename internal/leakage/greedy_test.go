@@ -1,0 +1,311 @@
+package leakage_test
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/delay"
+	"repro/internal/iscas"
+	"repro/internal/leakage"
+	"repro/internal/netlist"
+	"repro/internal/power"
+	"repro/internal/sta"
+	"repro/internal/tech"
+)
+
+// assignOneAtATime is the reference pass: the greedy as it reads in
+// the methodology, one candidate at a time, every ladder step checked
+// by a full incremental Update and every rejected step rolled back by
+// a second one. The group-tested pass must reach exactly its decisions.
+func assignOneAtATime(sess *sta.Session, tc float64, opts leakage.Options) (*leakage.Result, error) {
+	c, m := sess.Circuit(), sess.Model()
+	maxClass := tech.HVT
+	if opts.CapAtSVT {
+		maxClass = tech.SVT
+	}
+	res, err := sess.Analyze()
+	if err != nil {
+		return nil, err
+	}
+	budget := tc
+	if res.WorstDelay > tc {
+		budget = res.WorstDelay
+	}
+	prof, err := power.SimulateProfile(c, opts.Power)
+	if err != nil {
+		return nil, err
+	}
+	slacks, err := res.Slacks(budget)
+	if err != nil {
+		return nil, err
+	}
+	type cand struct {
+		n     *netlist.Node
+		slack float64
+	}
+	var cands []cand
+	for _, n := range c.Nodes {
+		if !n.IsLogic() || n.Vt.Rank() >= maxClass.Rank() {
+			continue
+		}
+		if sl := slacks.Slack(n); sl > 0 {
+			cands = append(cands, cand{n, sl})
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].slack != cands[j].slack {
+			return cands[i].slack > cands[j].slack
+		}
+		return cands[i].n.ID < cands[j].n.ID
+	})
+	capped := func(promoted int) bool { return opts.MaxPromotions > 0 && promoted >= opts.MaxPromotions }
+	out := &leakage.Result{Tc: tc, Budget: budget}
+	for _, cd := range cands {
+		out.Considered++
+		n := cd.n
+		for n.Vt.Rank() < maxClass.Rank() && !capped(out.Promoted) {
+			next, ok := n.Vt.Promote()
+			if !ok || next.Rank() > maxClass.Rank() {
+				break
+			}
+			prev := n.Vt
+			n.Vt = next
+			if _, err := res.Update(n); err != nil {
+				return nil, err
+			}
+			if res.WorstDelay <= budget {
+				out.Promoted++
+				continue
+			}
+			n.Vt = prev
+			if _, err := res.Update(n); err != nil {
+				return nil, err
+			}
+			break
+		}
+		if capped(out.Promoted) {
+			break
+		}
+	}
+	after, err := power.EstimateStaticProbs(c, m.Proc, prof.StateProbs)
+	if err != nil {
+		return nil, err
+	}
+	out.Delay = res.WorstDelay
+	out.StaticAfterUW = after.TotalUW
+	return out, nil
+}
+
+// greedyCase is one circuit state and constraint to run both passes on.
+type greedyCase struct {
+	name string
+	c    *netlist.Circuit
+	m    *delay.Model
+	tc   float64
+	opts leakage.Options
+}
+
+// entryWorst returns the circuit's current worst delay.
+func entryWorst(t *testing.T, c *netlist.Circuit, m *delay.Model) float64 {
+	t.Helper()
+	res, err := sta.Analyze(c, m, sta.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.WorstDelay
+}
+
+// presetLVT returns a clone of c with a seeded third of its gates
+// parked at LVT, so candidates start two steps below HVT.
+func presetLVT(c *netlist.Circuit, seed int64) *netlist.Circuit {
+	d := c.Clone()
+	rng := rand.New(rand.NewSource(seed))
+	for _, n := range d.Nodes {
+		if n.IsLogic() && rng.Intn(3) == 0 {
+			n.Vt = tech.LVT
+		}
+	}
+	return d
+}
+
+// assertSameAsReference runs the reference and the production pass on
+// clones of the case's circuit and fails unless every decision, the
+// final delay and leakage bits, and the final timing agree.
+func assertSameAsReference(t *testing.T, gc greedyCase) {
+	t.Helper()
+	ref, got := gc.c.Clone(), gc.c.Clone()
+	want, err := assignOneAtATime(sta.NewSession(ref, gc.m, sta.Config{}), gc.tc, gc.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := sta.NewSession(got, gc.m, sta.Config{})
+	res, err := leakage.AssignSession(context.Background(), sess, gc.tc, gc.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Considered != want.Considered || res.Promoted != want.Promoted {
+		t.Fatalf("considered/promoted %d/%d, one-at-a-time %d/%d",
+			res.Considered, res.Promoted, want.Considered, want.Promoted)
+	}
+	if math.Float64bits(res.Delay) != math.Float64bits(want.Delay) {
+		t.Fatalf("delay %v, one-at-a-time %v", res.Delay, want.Delay)
+	}
+	if math.Float64bits(res.StaticAfterUW) != math.Float64bits(want.StaticAfterUW) {
+		t.Fatalf("leakage %v, one-at-a-time %v", res.StaticAfterUW, want.StaticAfterUW)
+	}
+	for i, n := range got.Nodes {
+		if n.Vt != ref.Nodes[i].Vt {
+			t.Fatalf("node %s at %v, one-at-a-time %v", n.Name, n.Vt, ref.Nodes[i].Vt)
+		}
+	}
+	final, err := sess.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertTimingFresh(t, got, gc.m, final)
+}
+
+// assertTimingFresh fails unless res matches a fresh full analysis of c
+// bit for bit: every node's timing and the worst endpoint.
+func assertTimingFresh(t *testing.T, c *netlist.Circuit, m *delay.Model, res *sta.Result) {
+	t.Helper()
+	fresh, err := sta.Analyze(c, m, sta.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range c.Nodes {
+		a, b := res.Timing(n), fresh.Timing(n)
+		if math.Float64bits(a.TRise) != math.Float64bits(b.TRise) ||
+			math.Float64bits(a.TFall) != math.Float64bits(b.TFall) ||
+			math.Float64bits(a.TauRise) != math.Float64bits(b.TauRise) ||
+			math.Float64bits(a.TauFall) != math.Float64bits(b.TauFall) {
+			t.Fatalf("node %s: pass timing %+v, fresh analysis %+v", n.Name, a, b)
+		}
+	}
+	if math.Float64bits(res.WorstDelay) != math.Float64bits(fresh.WorstDelay) ||
+		res.WorstOutput != fresh.WorstOutput || res.WorstRising != fresh.WorstRising {
+		t.Fatalf("worst endpoint %v at %v, fresh analysis %v at %v",
+			res.WorstDelay, res.WorstOutput, fresh.WorstDelay, fresh.WorstOutput)
+	}
+}
+
+// TestGroupTestedPassMatchesOneAtATime pins the pass's core invariant:
+// the block-tested pass makes exactly the one-at-a-time greedy's
+// decisions on unsized and sized circuits, rejection-dense and
+// rejection-free constraints, LVT starts, the SVT ceiling and the
+// promotion cap.
+func TestGroupTestedPassMatchesOneAtATime(t *testing.T) {
+	m := delay.NewModel(tech.CMOS025())
+	var cases []greedyCase
+	for _, gates := range []int{300, 1000} {
+		c, err := iscas.MixedLogic(gates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		worst := entryWorst(t, c, m)
+		// 0.5 enters infeasible: the budget is the entry delay itself.
+		for _, ratio := range []float64{0.5, 1.01, 1.1, 1.5} {
+			cases = append(cases, greedyCase{fmt.Sprintf("%s/%.2f", c.Name, ratio), c, m, ratio * worst, leakage.Options{}})
+		}
+		lvt := presetLVT(c, int64(gates))
+		cases = append(cases,
+			greedyCase{c.Name + "/lvt", lvt, m, 1.05 * worst, leakage.Options{}},
+			greedyCase{c.Name + "/lvt/svt-cap", lvt, m, 1.05 * worst, leakage.Options{CapAtSVT: true}})
+		for _, limit := range []int{1, 3, 100} {
+			cases = append(cases,
+				greedyCase{fmt.Sprintf("%s/max%d", c.Name, limit), c, m, 1.05 * worst, leakage.Options{MaxPromotions: limit}},
+				greedyCase{fmt.Sprintf("%s/lvt/max%d", c.Name, limit), lvt, m, 1.05 * worst, leakage.Options{MaxPromotions: limit}})
+		}
+	}
+	suite := iscas.Suite()
+	if testing.Short() {
+		suite = suite[:3]
+	}
+	for _, spec := range suite {
+		for _, ratio := range []float64{1.2, 1.5, 2.0} {
+			c, sm, tc, _ := sized(t, spec.Name, ratio)
+			cases = append(cases, greedyCase{fmt.Sprintf("%s/%.1f", spec.Name, ratio), c, sm, tc, leakage.Options{}})
+			if ratio == 1.5 {
+				cases = append(cases, greedyCase{spec.Name + "/1.5/lvt", presetLVT(c, 7), sm, tc, leakage.Options{}})
+			}
+		}
+	}
+	if !testing.Short() {
+		// The large-leakage op's rejection-dense tail.
+		c, sm, tc, _ := sized(t, "mix6000", 1.5)
+		cases = append(cases, greedyCase{"mix6000/1.5", c, sm, tc, leakage.Options{}})
+	}
+	for _, gc := range cases {
+		t.Run(gc.name, func(t *testing.T) { assertSameAsReference(t, gc) })
+	}
+}
+
+// cancelAfter is a context whose Err reports cancellation once it has
+// answered n times.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelledPassLeavesVerifiedState stops the pass between timing
+// trials at several points: the circuit must then meet the budget and
+// the session's timing must equal a fresh analysis.
+func TestCancelledPassLeavesVerifiedState(t *testing.T) {
+	m := delay.NewModel(tech.CMOS025())
+	base, err := iscas.MixedLogic(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := 1.05 * entryWorst(t, base, m)
+	count := &cancelAfter{Context: context.Background(), n: math.MaxInt}
+	if _, err := leakage.Assign(count, presetLVT(base, 3), m, tc, leakage.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	checks := math.MaxInt - count.n
+	for _, after := range []int{0, 1, checks / 4, checks / 2, checks - 1} {
+		t.Run(fmt.Sprint(after), func(t *testing.T) {
+			c := presetLVT(base, 3)
+			sess := sta.NewSession(c, m, sta.Config{})
+			ctx := &cancelAfter{Context: context.Background(), n: after}
+			if _, err := leakage.AssignSession(ctx, sess, tc, leakage.Options{}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			res, err := sess.Analyze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertTimingFresh(t, c, m, res)
+			if res.WorstDelay > tc {
+				t.Fatalf("cancelled pass left delay %v over the budget %v", res.WorstDelay, tc)
+			}
+		})
+	}
+}
+
+// TestAssignRejectsNonFiniteConstraint: NaN compares false against
+// everything, so a bare tc <= 0 check let it through and the pass
+// reported a NaN Tc that encoding/json refuses.
+func TestAssignRejectsNonFiniteConstraint(t *testing.T) {
+	m := delay.NewModel(tech.CMOS025())
+	c, err := iscas.MixedLogic(300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []float64{math.NaN(), math.Inf(1), 0, -1} {
+		if res, err := leakage.Assign(context.Background(), c, m, tc, leakage.Options{}); err == nil {
+			t.Errorf("tc %v accepted: %+v", tc, res)
+		}
+	}
+}

@@ -9,17 +9,26 @@
 // timing, never violate Tc.
 //
 // The pass is strictly sequential and fully deterministic: candidates
-// are ordered by decreasing slack with node-ID tie-breaking, every
-// promotion is accepted or rolled back based on an exact incremental
-// STA check, and rejected moves restore the previous timing
-// bit-exactly. Run on an all-SVT circuit it only ever moves gates up
-// the LVT → SVT → HVT ladder, so total power (dynamic + leakage) is
-// monotonically non-increasing while the delay budget holds.
+// are ordered by decreasing slack with node-ID tie-breaking, and each
+// climbs the LVT → SVT → HVT ladder until its first step that would
+// break the budget. It only ever moves gates up the ladder, so total
+// power (dynamic + leakage) is monotonically non-increasing while the
+// delay budget holds.
+//
+// Moves are checked with sta.Result.Try, an incremental STA trial that
+// keeps a move meeting the budget and otherwise restores the previous
+// timing bit-exactly from its undo log. Arrival times only grow up the
+// ladder, so the pass tests blocks of candidates raised to the top
+// class together — a block passes exactly when each of its candidates
+// would have passed alone — and bisects a failing block for its first
+// rejected candidate. The decisions are those of checking one step at
+// a time, with far fewer propagations.
 package leakage
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/delay"
@@ -84,7 +93,7 @@ type Result struct {
 // Assign runs the selective Vt-assignment pass on a (typically already
 // sized) circuit against delay constraint tc (ps). The circuit is
 // modified in place: accepted promotions write the node's Vt class.
-// Cancellation is honored between candidates: on ctx expiry the
+// Cancellation is honored before each timing trial: on ctx expiry the
 // circuit is left in its latest verified state and the error returned.
 //
 // The pass never worsens timing: when the circuit enters meeting Tc it
@@ -104,8 +113,8 @@ func Assign(ctx context.Context, c *netlist.Circuit, m *delay.Model, tc float64,
 // session's reused buffers.
 func AssignSession(ctx context.Context, sess *sta.Session, tc float64, opts Options) (*Result, error) {
 	c, m := sess.Circuit(), sess.Model()
-	if tc <= 0 {
-		return nil, fmt.Errorf("leakage: non-positive constraint %g", tc)
+	if !(tc > 0) || math.IsInf(tc, 1) {
+		return nil, fmt.Errorf("leakage: constraint %g must be finite and positive", tc)
 	}
 	if err := m.Proc.Validate(); err != nil {
 		return nil, err
@@ -177,42 +186,21 @@ func AssignSession(ctx context.Context, sess *sta.Session, tc float64, opts Opti
 		return cands[i].n.ID < cands[j].n.ID
 	})
 
-	for _, cd := range cands {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out.Considered++
-		n := cd.n
-		for n.Vt.Rank() < maxClass.Rank() {
-			if opts.MaxPromotions > 0 && out.Promoted >= opts.MaxPromotions {
-				break
-			}
-			next, ok := n.Vt.Promote()
-			if !ok || next.Rank() > maxClass.Rank() {
-				break
-			}
-			prev := n.Vt
-			n.Vt = next
-			if _, err := res.Update(n); err != nil {
-				return nil, err
-			}
-			if res.WorstDelay <= budget {
-				out.Promoted++
-				continue
-			}
-			// Roll back: re-propagating from the restored class lands
-			// on the previous timing bit-exactly (same inputs, same
-			// arithmetic).
-			n.Vt = prev
-			if _, err := res.Update(n); err != nil {
-				return nil, err
-			}
-			break
-		}
-		if opts.MaxPromotions > 0 && out.Promoted >= opts.MaxPromotions {
-			break
-		}
+	p := &promoter{
+		res:    res,
+		budget: budget,
+		top:    maxClass,
+		limit:  opts.MaxPromotions,
+		nodes:  make([]*netlist.Node, len(cands)),
+		start:  make([]tech.VtClass, len(cands)),
 	}
+	for i, cd := range cands {
+		p.nodes[i], p.start[i] = cd.n, cd.n.Vt
+	}
+	if out.Considered, err = p.run(ctx); err != nil {
+		return nil, err
+	}
+	out.Promoted = p.promoted
 
 	after, err := power.EstimateStaticProbs(c, m.Proc, probs)
 	if err != nil {
@@ -230,4 +218,136 @@ func AssignSession(ctx context.Context, sess *sta.Session, tc float64, opts Opti
 		}
 	}
 	return out, nil
+}
+
+// promoter runs the greedy over the candidates in pass order. It
+// reaches exactly the decisions of promoting one candidate at a time —
+// each climbing the ladder one class per timing check and stopping at
+// its first rejected step — with far fewer checks: arrival times only
+// grow as gates move up the ladder, so a block of candidates raised to
+// the top class together passes exactly when the greedy would accept
+// each of them all the way up.
+type promoter struct {
+	res      *sta.Result
+	budget   float64
+	top      tech.VtClass
+	limit    int             // Options.MaxPromotions (0 = unbounded)
+	nodes    []*netlist.Node // candidates in pass order
+	start    []tech.VtClass  // their classes on entry
+	promoted int
+}
+
+// run handles every candidate and returns how many it considered: all
+// of them, or those up to the one whose promotion reached the cap.
+//
+// Blocks hold k = max(1, gap/4) candidates, where gap counts the
+// candidates handled since the last rejection, so blocks grow through
+// runs of accepted moves and shrink to one at each rejection. A failing
+// block is bisected for its first rejected candidate; the halves before
+// it pass and are kept, and that candidate climbs alone.
+func (p *promoter) run(ctx context.Context) (int, error) {
+	i, gap := 0, 0
+	for i < len(p.nodes) && !p.capped() {
+		// The block [i, j): up to k candidates whose full climbs fit
+		// under the cap.
+		k := max(1, gap/4)
+		j, steps := i, 0
+		for j < len(p.nodes) && j-i < k && p.fits(steps+p.steps(j)) {
+			steps += p.steps(j)
+			j++
+		}
+		if j > i {
+			kept, err := p.tryBlock(ctx, i, j)
+			if err != nil {
+				return 0, err
+			}
+			if kept {
+				i, gap = j, gap+j-i
+				continue
+			}
+			// [lo, hi) fails on the current state; keep a passing front
+			// half (the back half then fails) or narrow to a failing one.
+			lo, hi := i, j
+			for hi-lo > 1 {
+				mid := lo + (hi-lo)/2
+				kept, err := p.tryBlock(ctx, lo, mid)
+				if err != nil {
+					return 0, err
+				}
+				if kept {
+					lo = mid
+				} else {
+					hi = mid
+				}
+			}
+			i = lo
+		}
+		// Candidate i climbs alone: it failed at the top class, or the
+		// cap ends inside its climb (j == i).
+		if err := p.climb(ctx, i, j > i); err != nil {
+			return 0, err
+		}
+		i, gap = i+1, 0
+	}
+	return i, nil
+}
+
+// steps is the number of ladder steps from candidate i's entry class
+// to the top class.
+func (p *promoter) steps(i int) int { return p.top.Rank() - p.start[i].Rank() }
+
+// fits reports whether s more promotion steps stay within the cap.
+func (p *promoter) fits(s int) bool { return p.limit <= 0 || p.promoted+s <= p.limit }
+
+// capped reports whether the cap has been reached.
+func (p *promoter) capped() bool { return p.limit > 0 && p.promoted >= p.limit }
+
+// tryBlock raises candidates [lo, hi) to the top class and checks the
+// budget with one timing trial, keeping the block when it passes and
+// restoring the entry classes when it does not. ctx is checked first,
+// so a cancelled pass leaves the last verified state.
+func (p *promoter) tryBlock(ctx context.Context, lo, hi int) (bool, error) {
+	if err := ctx.Err(); err != nil {
+		return false, err
+	}
+	steps := 0
+	for i := lo; i < hi; i++ {
+		p.nodes[i].Vt = p.top
+		steps += p.steps(i)
+	}
+	kept, err := p.res.Try(p.budget, p.nodes[lo:hi]...)
+	if !kept {
+		for i := lo; i < hi; i++ {
+			p.nodes[i].Vt = p.start[i]
+		}
+		return false, err
+	}
+	p.promoted += steps
+	return true, nil
+}
+
+// climb moves candidate i up the ladder one class per timing trial,
+// stopping at its first rejected step or at the cap. topFails says the
+// top class is already known to fail, so that step is rejected without
+// a trial.
+func (p *promoter) climb(ctx context.Context, i int, topFails bool) error {
+	n := p.nodes[i]
+	for !p.capped() {
+		next, ok := n.Vt.Promote()
+		if !ok || next.Rank() > p.top.Rank() || (topFails && next == p.top) {
+			return nil
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		prev := n.Vt
+		n.Vt = next
+		kept, err := p.res.Try(p.budget, n)
+		if !kept {
+			n.Vt = prev
+			return err
+		}
+		p.promoted++
+	}
+	return nil
 }

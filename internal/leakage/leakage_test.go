@@ -15,8 +15,19 @@ import (
 )
 
 // optimized sizes a benchmark with the protocol at ratio·Tmin and
-// returns the circuit, model and constraint.
+// returns the circuit, model and constraint; the sizing must meet it.
 func optimized(t *testing.T, name string, ratio float64) (*netlist.Circuit, *delay.Model, float64) {
+	t.Helper()
+	c, m, tc, feasible := sized(t, name, ratio)
+	if !feasible {
+		t.Fatalf("%s at %.2f·Tmin infeasible before the leakage pass", name, ratio)
+	}
+	return c, m, tc
+}
+
+// sized is optimized without the feasibility requirement: it also
+// reports whether the protocol met the constraint.
+func sized(t *testing.T, name string, ratio float64) (*netlist.Circuit, *delay.Model, float64, bool) {
 	t.Helper()
 	m := delay.NewModel(tech.CMOS025())
 	c, err := iscas.Load(name)
@@ -40,10 +51,7 @@ func optimized(t *testing.T, name string, ratio float64) (*netlist.Circuit, *del
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Feasible {
-		t.Fatalf("%s at %.2f·Tmin infeasible before the leakage pass", name, ratio)
-	}
-	return c, m, tc
+	return c, m, tc, out.Feasible
 }
 
 func TestAssignReducesLeakageWithoutViolating(t *testing.T) {

@@ -31,8 +31,13 @@ import (
 // topological order — exactly the nodes, in the same relative order,
 // that a scan of the whole order would — while skipping clean stretches
 // 64 positions per word. An update costs O(cone + span/64) instead of
-// O(circuit): the multi-Vt pass runs one per candidate move on circuits
-// of thousands of gates whose cones hold a few dozen.
+// O(circuit): the multi-Vt pass checks its candidate moves this way on
+// circuits of thousands of gates whose cones hold a few dozen.
+//
+// Try is the same sweep as a trial: it logs every entry it overwrites,
+// stops at the first primary output over a delay budget, and on
+// rejection replays the log, so a rejected move never propagates
+// twice.
 
 // ErrStaleAnalysis reports that a Result (or an update through it) was
 // used after the circuit's structure changed — node insertion/removal,
@@ -40,6 +45,14 @@ import (
 // holder must run a fresh Analyze (or Session.Analyze, which refreshes
 // automatically).
 var ErrStaleAnalysis = errors.New("sta: analysis is stale: circuit structure changed since it was computed")
+
+// undoEntry is one node's timing state as it stood before a Try sweep
+// overwrote it.
+type undoEntry struct {
+	id                 int
+	timing             NodeTiming
+	predRise, predFall *netlist.Node
+}
 
 // staleEpoch poisons a Result whose incremental state was torn mid-way
 // by a failed update; no live circuit epoch ever equals it.
@@ -58,24 +71,104 @@ const staleEpoch = math.MaxUint64
 // began additionally poisons the Result — every later Update returns
 // ErrStaleAnalysis — instead of leaving it silently half-mutated.
 func (r *Result) Update(changed ...*netlist.Node) (int, error) {
+	if err := r.checkChanged(changed); err != nil {
+		return 0, err
+	}
+	r.seed(changed)
+	recomputed, _ := r.sweep(math.Inf(1), false)
+	d, o, rising := r.worst()
+	if o == nil {
+		return recomputed, r.lostOutputs()
+	}
+	r.WorstDelay, r.WorstOutput, r.WorstRising = d, o, rising
+	return recomputed, nil
+}
+
+// Try is Update as a trial move against a delay budget: it propagates
+// the same cone and keeps the result when the worst delay stays within
+// budget — exactly the verdict WorstDelay <= budget after Update — and
+// otherwise restores every node's timing and Worst* bit for bit.
+//
+// Each overwritten entry is logged before the sweep writes it, and the
+// sweep stops at the first primary output whose arrival exceeds the
+// budget, so a rejected move costs one partial propagation and a
+// replay of its log instead of a full update and a rollback update.
+// Every node is recomputed at most once per sweep, so the log, sized
+// to the ID bound, never grows past it. Errors are Update's.
+//
+//pops:noalloc
+func (r *Result) Try(budget float64, changed ...*netlist.Node) (bool, error) {
+	if err := r.checkChanged(changed); err != nil {
+		return false, err
+	}
+	if cap(r.undo) < len(r.timing) {
+		// Sized on the first trial, not in grow, so analyses that never
+		// try a move do not pay for it.
+		r.undo = make([]undoEntry, 0, len(r.timing))
+	}
+	r.undo = r.undo[:0]
+	r.seed(changed)
+	if _, ok := r.sweep(budget, true); !ok {
+		r.restore()
+		return false, nil
+	}
+	d, o, rising := r.worst()
+	if o == nil {
+		return false, r.lostOutputs()
+	}
+	if d > budget {
+		// An output outside the cone was already over budget.
+		r.restore()
+		return false, nil
+	}
+	r.WorstDelay, r.WorstOutput, r.WorstRising = d, o, rising
+	return true, nil
+}
+
+// checkChanged refuses an update on a stale structure or with a node
+// from another circuit, before any timing is touched.
+func (r *Result) checkChanged(changed []*netlist.Node) error {
 	if r.epoch != r.Circuit.Epoch() {
-		return 0, fmt.Errorf("sta: circuit %s epoch %d vs analysis epoch %d: %w",
+		return fmt.Errorf("sta: circuit %s epoch %d vs analysis epoch %d: %w",
 			r.Circuit.Name, r.Circuit.Epoch(), r.epoch, ErrStaleAnalysis)
 	}
 	for _, n := range changed {
 		if r.Circuit.Node(n.Name) != n {
-			return 0, fmt.Errorf("sta: node %s is not part of the analyzed circuit", n.Name)
+			return fmt.Errorf("sta: node %s is not part of the analyzed circuit", n.Name)
 		}
 	}
-	// The dirty bitset is all-clear on entry and again on return: the
-	// sweep covers every marked position and clears it.
+	return nil
+}
+
+// lostOutputs poisons the Result after a sweep found no primary
+// output: timing was already overwritten, so the failure cannot be
+// ignored and the state silently reused.
+func (r *Result) lostOutputs() error {
+	r.epoch = staleEpoch
+	return fmt.Errorf("sta: circuit %s lost its outputs: %w", r.Circuit.Name, ErrStaleAnalysis)
+}
+
+// seed marks the changed nodes and their drivers, whose load changed.
+// The dirty bitset is all-clear before and again after each sweep.
+//
+//pops:noalloc
+func (r *Result) seed(changed []*netlist.Node) {
 	for _, n := range changed {
 		r.mark(n)
 		for _, f := range n.Fanin {
 			r.mark(f) // the driver's load changed
 		}
 	}
+}
 
+// sweep recomputes the dirty nodes in topological order, clearing the
+// bitset as it goes, and returns the number recomputed. With log set it
+// appends each node's entry to the undo log before overwriting it. It
+// returns false, with the rest of the bitset cleared, as soon as a
+// primary output's arrival exceeds budget (Update passes +Inf).
+//
+//pops:noalloc
+func (r *Result) sweep(budget float64, log bool) (int, bool) {
 	recomputed := 0
 	tauIn := r.Config.inputTau(r.Model.Proc)
 	for w := r.lo >> 6; w <= r.hi>>6; w++ {
@@ -84,18 +177,27 @@ func (r *Result) Update(changed ...*netlist.Node) (int, error) {
 			r.dirty[w] &^= 1 << b
 			n := r.order[w<<6|b]
 			old := r.timing[n.ID]
+			if log {
+				r.undo = append(r.undo, undoEntry{id: n.ID, timing: old, predRise: r.predRise[n.ID], predFall: r.predFall[n.ID]})
+			}
+			recomputed++
 			switch {
 			case n.Type == gate.Input:
 				r.timing[n.ID] = NodeTiming{TauRise: tauIn, TauFall: tauIn}
 			case n.Type == gate.Output:
 				d := n.Fanin[0]
-				r.timing[n.ID] = r.timing[d.ID]
+				dt := r.timing[d.ID]
+				r.timing[n.ID] = dt
 				r.predRise[n.ID] = d
 				r.predFall[n.ID] = d
+				if dt.TRise > budget || dt.TFall > budget {
+					clear(r.dirty[w : r.hi>>6+1])
+					r.lo, r.hi = math.MaxInt, -1
+					return recomputed, false
+				}
 			default:
 				r.analyzeGate(n)
 			}
-			recomputed++
 			if old != r.timing[n.ID] {
 				for _, s := range n.Fanout {
 					r.mark(s) // later in the order: this sweep reaches it
@@ -104,26 +206,38 @@ func (r *Result) Update(changed ...*netlist.Node) (int, error) {
 		}
 	}
 	r.lo, r.hi = math.MaxInt, -1
+	return recomputed, true
+}
 
-	// Refresh the worst endpoint over all outputs (cheap).
-	r.WorstDelay = math.Inf(-1)
-	r.WorstOutput = nil
-	for _, o := range r.Circuit.Outputs {
-		dt := r.timing[o.ID]
-		if dt.TRise > r.WorstDelay {
-			r.WorstDelay, r.WorstOutput, r.WorstRising = dt.TRise, o, true
+// restore replays the undo log of a rejected Try. Each node appears in
+// it at most once, so the order of the replay does not matter.
+//
+//pops:noalloc
+func (r *Result) restore() {
+	for _, e := range r.undo {
+		r.timing[e.id] = e.timing
+		r.predRise[e.id] = e.predRise
+		r.predFall[e.id] = e.predFall
+	}
+	r.undo = r.undo[:0]
+}
+
+// worst scans the primary outputs for the latest arrival; o is nil
+// when the circuit has none.
+//
+//pops:noalloc
+func (r *Result) worst() (d float64, o *netlist.Node, rising bool) {
+	d = math.Inf(-1)
+	for _, out := range r.Circuit.Outputs {
+		dt := r.timing[out.ID]
+		if dt.TRise > d {
+			d, o, rising = dt.TRise, out, true
 		}
-		if dt.TFall > r.WorstDelay {
-			r.WorstDelay, r.WorstOutput, r.WorstRising = dt.TFall, o, false
+		if dt.TFall > d {
+			d, o, rising = dt.TFall, out, false
 		}
 	}
-	if r.WorstOutput == nil {
-		// Timing was already overwritten: poison the Result so the
-		// failure cannot be ignored and the state silently reused.
-		r.epoch = staleEpoch
-		return recomputed, fmt.Errorf("sta: circuit %s lost its outputs: %w", r.Circuit.Name, ErrStaleAnalysis)
-	}
-	return recomputed, nil
+	return d, o, rising
 }
 
 // mark flags n dirty: it sets n's topological position in the bitset

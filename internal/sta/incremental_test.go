@@ -3,6 +3,7 @@ package sta
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/delay"
@@ -110,18 +111,25 @@ func scanUpdate(r *Result, changed *netlist.Node) int {
 }
 
 func TestIncrementalVtMovesMatchFullAnalysis(t *testing.T) {
-	// The multi-Vt pass's access pattern: promote one gate, Update, and
-	// on a timing violation restore the class and Update again, with a
-	// resize every fourth move. After
-	// every move the repaired analysis must equal a fresh Analyze bit
-	// for bit, and each Update must recompute exactly the nodes the
-	// whole-order scan would.
+	// The multi-Vt pass's access pattern: move one gate's Vt class and
+	// check it against a budget, restoring the class when it fails, with
+	// a resize every fourth move. Each move runs twice: through Try on
+	// one analysis, and through Update plus a rollback Update on a
+	// reference analysis. Try must reach the reference's verdict; a
+	// kept Try must equal the reference and a fresh Analyze bit for
+	// bit, a rejected one must leave its analysis exactly as it was.
+	// Each Update must also recompute exactly the nodes the whole-order
+	// scan would.
 	m := delay.NewModel(tech.CMOS025())
 	c, err := iscas.MixedLogic(400)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := Analyze(c, m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tried, err := Analyze(c, m, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,30 +147,93 @@ func TestIncrementalVtMovesMatchFullAnalysis(t *testing.T) {
 			t.Fatalf("Update of %s recomputed %d nodes, the full-order scan %d", g.Name, got, want)
 		}
 	}
+	// try runs the move through Try and Update and reports the verdict.
+	try := func(g *netlist.Node, budget float64) bool {
+		t.Helper()
+		before := snapshot(tried)
+		kept, err := tried.Try(budget, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		update(g)
+		if want := res.WorstDelay <= budget; kept != want {
+			t.Fatalf("Try of %s at budget %v kept %v, Update reached %v", g.Name, budget, kept, res.WorstDelay)
+		}
+		if kept {
+			assertSameState(t, c, tried, res)
+		} else {
+			assertSameState(t, c, tried, before)
+		}
+		return kept
+	}
 	rng := rand.New(rand.NewSource(7))
 	gates := c.Gates()
 	classes := tech.VtClasses()
+	rejected := 0
 	for move := 0; move < 300; move++ {
 		g := gates[rng.Intn(len(gates))]
 		if move%4 == 3 {
 			// A resize also moves the drivers' load: the sizing
 			// rounds' pattern, seeding the fanins as well.
 			g.CIn = m.Proc.ClampCap(m.Proc.CRef * math.Exp(rng.Float64()*3))
-			update(g)
+			try(g, math.Inf(1))
 			continue
 		}
+		// Budgets around the current worst delay, some below it: then
+		// even a move outside the worst cone must fail.
+		budget := res.WorstDelay * (0.995 + 0.02*rng.Float64())
 		prev := g.Vt
 		g.Vt = classes[rng.Intn(len(classes))]
-		update(g)
-		if rng.Intn(3) == 0 {
+		if !try(g, budget) {
+			rejected++
 			g.Vt = prev
 			update(g)
+			assertSameState(t, c, tried, res)
 		}
 		fresh, err := Analyze(c, m, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		assertSameAnalysis(t, c, tried, fresh)
 		assertSameAnalysis(t, c, res, fresh)
+	}
+	if rejected == 0 || rejected == 225 {
+		t.Fatalf("%d of 225 Vt moves rejected: the pattern must exercise both verdicts", rejected)
+	}
+}
+
+// snapshot copies the state Try may touch: per-node timing and preds
+// and the worst endpoint.
+func snapshot(r *Result) *Result {
+	return &Result{
+		WorstDelay:  r.WorstDelay,
+		WorstOutput: r.WorstOutput,
+		WorstRising: r.WorstRising,
+		timing:      slices.Clone(r.timing),
+		predRise:    slices.Clone(r.predRise),
+		predFall:    slices.Clone(r.predFall),
+	}
+}
+
+// assertSameState fails unless got and want hold the same timing and
+// preds for every node and the same worst endpoint, bit for bit.
+func assertSameState(t *testing.T, c *netlist.Circuit, got, want *Result) {
+	t.Helper()
+	for _, n := range c.Nodes {
+		a, b := got.timing[n.ID], want.timing[n.ID]
+		if math.Float64bits(a.TRise) != math.Float64bits(b.TRise) ||
+			math.Float64bits(a.TFall) != math.Float64bits(b.TFall) ||
+			math.Float64bits(a.TauRise) != math.Float64bits(b.TauRise) ||
+			math.Float64bits(a.TauFall) != math.Float64bits(b.TauFall) {
+			t.Fatalf("node %s timing %+v, want %+v", n.Name, a, b)
+		}
+		if got.predRise[n.ID] != want.predRise[n.ID] || got.predFall[n.ID] != want.predFall[n.ID] {
+			t.Fatalf("node %s preds diverged", n.Name)
+		}
+	}
+	if math.Float64bits(got.WorstDelay) != math.Float64bits(want.WorstDelay) ||
+		got.WorstOutput != want.WorstOutput || got.WorstRising != want.WorstRising {
+		t.Fatalf("worst endpoint %v at %v, want %v at %v", got.WorstDelay, got.WorstOutput, want.WorstDelay, want.WorstOutput)
 	}
 }
 

@@ -199,9 +199,10 @@ func TestSessionReusesAndRefreshes(t *testing.T) {
 	}
 }
 
-// TestSessionRoundLoopAllocationFree pins the tentpole claim: once
+// TestSessionRoundLoopAllocationFree pins the session's claim: once
 // warm, an analyze → resize → update round through the session
-// performs no allocation.
+// performs no allocation, and neither do the multi-Vt pass's trials,
+// kept or rejected.
 func TestSessionRoundLoopAllocationFree(t *testing.T) {
 	m := model()
 	c := chainCircuit(t, 40, 12)
@@ -217,6 +218,19 @@ func TestSessionRoundLoopAllocationFree(t *testing.T) {
 		}
 		g := gs[len(gs)/2]
 		g.CIn *= 1.01
+		if _, err := res.Update(g); err != nil {
+			t.Fatal(err)
+		}
+		// Every chain gate is critical: an HVT promotion fails a budget
+		// at the current delay and passes an unbounded one.
+		g.Vt = tech.HVT
+		if kept, err := res.Try(res.WorstDelay, g); kept || err != nil {
+			t.Fatalf("critical promotion kept %v (err %v)", kept, err)
+		}
+		if kept, err := res.Try(math.Inf(1), g); !kept || err != nil {
+			t.Fatalf("unbounded trial rejected (err %v)", err)
+		}
+		g.Vt = tech.SVT
 		if _, err := res.Update(g); err != nil {
 			t.Fatal(err)
 		}

@@ -89,6 +89,7 @@ type Result struct {
 	// marked range (incremental.go); all-clear between updates.
 	dirty  []uint64
 	lo, hi int
+	undo   []undoEntry // Try's log of overwritten entries (Try sizes it)
 	topo   netlist.TopoScratch
 	reqR   []float64 // backward-pass scratch (Slacks)
 	reqF   []float64
