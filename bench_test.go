@@ -431,7 +431,7 @@ func BenchmarkSequentialSuite(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				out, err := proto.Optimize(context.Background(), proto.NewTimingSession(c), ratio*bounds.Tmin, nil)
+				out, err := proto.Optimize(context.Background(), proto.NewTimingSession(c), ratio*bounds.Tmin, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -717,7 +717,7 @@ func BenchmarkLeakageAssignSized(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := proto.Optimize(context.Background(), proto.NewTimingSession(base), tc, nil); err != nil {
+	if _, err := proto.Optimize(context.Background(), proto.NewTimingSession(base), tc, nil, nil); err != nil {
 		b.Fatal(err)
 	}
 	benchLeakagePass(b, model, base, tc)
@@ -833,7 +833,7 @@ func BenchmarkDistributeWithBuffers(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for k, pa := range paths {
-					_, err := buffering.DistributeWithBuffers(m, pa, c.ratio*tmin[k], limits, c.mode, sizing.Options{NoTrace: true})
+					_, err := buffering.DistributeWithBuffers(m, pa, c.ratio*tmin[k], limits, c.mode, sizing.Options{NoTrace: true}, buffering.Solved{})
 					if err != nil && !errors.Is(err, sizing.ErrInfeasible) {
 						b.Fatal(err)
 					}

@@ -322,7 +322,7 @@ func run(w io.Writer, cmd, benchFile, circuit, addr, dataDir string, tc, ratio f
 		if err != nil {
 			return err
 		}
-		out, err := proto.Optimize(context.Background(), proto.NewTimingSession(c), tc, &pops.LeakageOptions{})
+		out, err := proto.Optimize(context.Background(), proto.NewTimingSession(c), tc, &pops.LeakageOptions{}, nil)
 		if err != nil {
 			return err
 		}

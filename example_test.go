@@ -64,7 +64,7 @@ func ExampleEquivalent() {
 	proto, _ := pops.NewProtocol(pops.ProtocolConfig{Model: model})
 	path, _, _ := pops.CriticalPath(adder, model)
 	b, _ := pops.Bounds(model, path.Clone())
-	out, _ := proto.Optimize(context.Background(), proto.NewTimingSession(adder), 1.4*b.Tmin, nil)
+	out, _ := proto.Optimize(context.Background(), proto.NewTimingSession(adder), 1.4*b.Tmin, nil, nil)
 
 	ce, _ := pops.Equivalent(original, adder, 0, 1) // exhaustive: 9 inputs
 	fmt.Println("feasible:", out.Feasible)
@@ -108,7 +108,7 @@ func ExampleProtocol_Optimize() {
 	b, _ := pops.Bounds(model, path.Clone())
 
 	proto, _ := pops.NewProtocol(pops.ProtocolConfig{Model: model})
-	out, _ := proto.Optimize(context.Background(), proto.NewTimingSession(circuit), 1.5*b.Tmin, &pops.LeakageOptions{})
+	out, _ := proto.Optimize(context.Background(), proto.NewTimingSession(circuit), 1.5*b.Tmin, &pops.LeakageOptions{}, nil)
 
 	lr := out.Leakage
 	fmt.Println("constraint met:", out.Feasible && out.Delay <= 1.5*b.Tmin)

@@ -43,7 +43,7 @@ func main() {
 		log.Fatal(err)
 	}
 	tc := 1.25 * bounds.Tmin
-	out, err := proto.Optimize(context.Background(), proto.NewTimingSession(adder), tc, nil)
+	out, err := proto.Optimize(context.Background(), proto.NewTimingSession(adder), tc, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

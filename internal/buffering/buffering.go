@@ -264,29 +264,36 @@ type Result struct {
 	Inserted int // number of buffers inserted
 }
 
+// Solved is a path sub-problem the caller has already solved: its
+// sized copy of the path and the sizing result of that solve. The
+// buffered optimizers start from it instead of solving it again; they
+// read it and never modify it, but the Result they return may share
+// Path.
+type Solved struct {
+	Path   *delay.Path
+	Result *sizing.Result
+}
+
 // MinDelayWithBuffers implements the §4.1 flow for minimum delay.
-// Critical nodes are identified on the *incoming* implementation (the
-// existing sizes), exactly as the protocol of Fig. 7 prescribes —
+// Critical nodes are identified on the *incoming* implementation pa
+// (the existing sizes), exactly as the protocol of Fig. 7 prescribes —
 // Flimit is a property of the path structure and its environment, not
 // of the sized optimum. Buffers are then inserted worst-excess first,
 // each insertion accepted only if it lowers the globally re-sized
-// minimum delay. The best configuration found is returned (possibly
-// the unbuffered one).
-func MinDelayWithBuffers(m *delay.Model, pa *delay.Path, limits map[gate.Type]float64, opts sizing.Options) (*Result, error) {
+// minimum delay. tmin is the caller's sizing.Tmin of a copy of pa under
+// opts, the unbuffered configuration every insertion is measured
+// against. The best configuration found is returned (possibly tmin
+// itself).
+func MinDelayWithBuffers(m *delay.Model, pa *delay.Path, tmin Solved, limits map[gate.Type]float64, opts sizing.Options) (*Result, error) {
 	// Private solver scratch for the trial Tmin runs. The caller's
 	// workspace (if any) is deliberately not reused: the caller may hold
 	// live results in it across this call.
 	opts.Workspace = &sizing.Workspace{}
-	// structure keeps the incoming sizes (+ CREF buffers) for
-	// detection; best keeps the sized champion.
-	structure := pa.Clone()
-	sized := pa.Clone()
-	r, err := sizing.Tmin(m, sized, opts)
-	if err != nil {
-		return nil, err
-	}
-	best := &Result{Path: sized, Delay: r.Delay, Area: r.Area}
-	bestStructure := structure
+	// bestStructure keeps the incoming sizes (+ CREF buffers) for
+	// detection; best keeps the sized champion. Neither is modified:
+	// every trial works on a fresh InsertStage copy.
+	best := &Result{Path: tmin.Path, Delay: tmin.Result.Delay, Area: tmin.Result.Area}
+	bestStructure := pa
 
 	tried := make(map[int]bool) // original-stage ordinal → attempted
 	const maxInsert = 24
@@ -354,7 +361,16 @@ const (
 // equal constraint — or, while the constraint is still infeasible,
 // if it reduces the achievable delay. ErrInfeasible is returned when
 // even the buffered structure cannot reach tc.
-func DistributeWithBuffers(m *delay.Model, pa *delay.Path, tc float64, limits map[gate.Type]float64, mode Mode, opts sizing.Options) (*Result, error) {
+//
+// In Global mode the first distribution is a plain sizing.Distribute
+// of pa; a caller that already holds it passes it as plain (its
+// successful Distribute of a copy of pa at tc under opts), and the
+// search starts from it. A zero plain distributes here. Local mode
+// starts from its own frozen-buffer distribution and takes no plain.
+func DistributeWithBuffers(m *delay.Model, pa *delay.Path, tc float64, limits map[gate.Type]float64, mode Mode, opts sizing.Options, plain Solved) (*Result, error) {
+	if plain.Path != nil && mode != Global {
+		return nil, errors.New("buffering: a plain starting distribution applies to Global mode only")
+	}
 	// Private solver scratch shared by every insertion trial; the
 	// caller's own workspace (if any) may hold live results and is not
 	// touched. Results are decoupled from the scratch slot right away —
@@ -370,12 +386,16 @@ func DistributeWithBuffers(m *delay.Model, pa *delay.Path, tc float64, limits ma
 		return r, err
 	}
 
-	bestPath := pa.Clone()
-	best, err := distribute(bestPath)
-	if err != nil && !errors.Is(err, sizing.ErrInfeasible) {
-		return nil, err
+	bestPath, best, feasible := plain.Path, plain.Result, true
+	if bestPath == nil {
+		bestPath = pa.Clone()
+		var err error
+		best, err = distribute(bestPath)
+		if err != nil && !errors.Is(err, sizing.ErrInfeasible) {
+			return nil, err
+		}
+		feasible = err == nil
 	}
-	feasible := err == nil
 	inserted := 0
 
 	const maxInsert = 24

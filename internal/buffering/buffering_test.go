@@ -2,6 +2,7 @@ package buffering
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/delay"
@@ -174,7 +175,7 @@ func TestMinDelayWithBuffersImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MinDelayWithBuffers(m, pa, lim, sizing.Options{})
+	res, err := MinDelayWithBuffers(m, pa, Solved{Path: base, Result: rBase}, lim, sizing.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestMinDelayWithBuffersNeverWorse(t *testing.T) {
 	pa.Stages[len(pa.Stages)-1].COff = 8
 	base := pa.Clone()
 	rBase, _ := sizing.Tmin(m, base, sizing.Options{})
-	res, err := MinDelayWithBuffers(m, pa, lim, sizing.Options{})
+	res, err := MinDelayWithBuffers(m, pa, Solved{Path: base, Result: rBase}, lim, sizing.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestDistributeWithBuffersModes(t *testing.T) {
 	}
 	tc := 1.3 * rt.Delay
 	for _, mode := range []Mode{Local, Global} {
-		res, err := DistributeWithBuffers(m, pa, tc, lim, mode, sizing.Options{})
+		res, err := DistributeWithBuffers(m, pa, tc, lim, mode, sizing.Options{}, Solved{})
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
@@ -235,11 +236,11 @@ func TestGlobalNoWorseThanLocalOnHardConstraint(t *testing.T) {
 	pa := heavyPath(m.Proc)
 	rt, _ := sizing.Tmin(m, pa.Clone(), sizing.Options{})
 	tc := 1.1 * rt.Delay
-	lres, err := DistributeWithBuffers(m, pa, tc, lim, Local, sizing.Options{})
+	lres, err := DistributeWithBuffers(m, pa, tc, lim, Local, sizing.Options{}, Solved{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gres, err := DistributeWithBuffers(m, pa, tc, lim, Global, sizing.Options{})
+	gres, err := DistributeWithBuffers(m, pa, tc, lim, Global, sizing.Options{}, Solved{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,5 +277,44 @@ func TestOrdinalOf(t *testing.T) {
 	}
 	if ordinalOf(q, 1) != 1 {
 		t.Fatalf("ordinalOf(1) = %d, want 1", ordinalOf(q, 1))
+	}
+}
+
+// TestDistributeWithBuffersPlainStart pins the shared-solve contract:
+// Global mode started from the caller's plain Distribute returns
+// exactly what it returns when it distributes that start itself, and
+// leaves the start untouched; Local mode refuses a plain start.
+func TestDistributeWithBuffersPlainStart(t *testing.T) {
+	m := model()
+	lim := Limits(CharacterizeLibrary(m, nil, Options{}))
+	pa := heavyPath(m.Proc)
+	rt, err := sizing.Tmin(m, pa.Clone(), sizing.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := 1.1 * rt.Delay
+	own, err := DistributeWithBuffers(m, pa, tc, lim, Global, sizing.Options{}, Solved{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sized := pa.Clone()
+	plain, err := sizing.Distribute(m, sized, tc, sizing.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, plainBefore := sized.Sizes(), *plain
+	shared, err := DistributeWithBuffers(m, pa, tc, lim, Global, sizing.Options{}, Solved{Path: sized, Result: plain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if own.Delay != shared.Delay || own.Area != shared.Area || own.Inserted != shared.Inserted ||
+		!slices.Equal(own.Path.Sizes(), shared.Path.Sizes()) {
+		t.Fatalf("plain start changed the result: %+v vs %+v", own, shared)
+	}
+	if !slices.Equal(sized.Sizes(), before) || plain.Delay != plainBefore.Delay || plain.Area != plainBefore.Area {
+		t.Fatal("DistributeWithBuffers modified the caller's start")
+	}
+	if _, err := DistributeWithBuffers(m, pa, tc, lim, Local, sizing.Options{}, Solved{Path: sized, Result: plain}); err == nil {
+		t.Fatal("Local mode accepted a plain start")
 	}
 }

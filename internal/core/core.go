@@ -141,6 +141,70 @@ func NewProtocol(cfg Config) (*Protocol, error) {
 // Limits exposes the Flimit table in use.
 func (p *Protocol) Limits() map[gate.Type]float64 { return p.cfg.Limits }
 
+// Model exposes the delay model in use.
+func (p *Protocol) Model() *delay.Model { return p.cfg.Model }
+
+// Bounds is the solved delay space of one bounded path (§3.1): Tmin
+// and Tmax, plus the Tmin-sized stage sizes and the sizing result that
+// produced them. SolveBounds builds one with the protocol's own solver
+// options, so it holds exactly the solve a round runs on the same path:
+// Optimize's first round adopts it instead of calling sizing.Tmin again
+// when the extracted worst path is the path it solved. A Bounds is
+// read-only once built and may be shared across goroutines.
+type Bounds struct {
+	Tmin float64 // minimum achievable delay (ps)
+	Tmax float64 // all-minimum-drive delay (ps)
+
+	proto  *Protocol     // the protocol whose options solved it
+	tauIn  float64       // the solved path's entry transition
+	stages []delay.Stage // the solved path's stages, Node links dropped
+	sizes  []float64     // stage input capacitances at the Tmin point
+	res    sizing.Result // the Tmin solve's result (untraced)
+}
+
+// SolveBounds solves pa's delay bounds with the protocol's solver
+// options, exactly as a round does: Tmax on one copy, Tmin (untraced,
+// on a scratch workspace) on another. pa is not modified. The result
+// keeps no link to pa's netlist nodes.
+func (p *Protocol) SolveBounds(pa *delay.Path) (*Bounds, error) {
+	m := p.cfg.Model
+	opts := p.cfg.Sizing
+	opts.NoTrace = true
+	opts.Workspace = &sizing.Workspace{}
+	b := &Bounds{proto: p, tauIn: pa.TauIn, stages: append([]delay.Stage(nil), pa.Stages...)}
+	for i := range b.stages {
+		b.stages[i].Node = nil
+	}
+	b.Tmax = sizing.Tmax(m, pa.Clone())
+	work := pa.Clone()
+	r, err := sizing.Tmin(m, work, opts)
+	if err != nil {
+		return nil, err
+	}
+	b.Tmin = r.Delay
+	b.res = *r
+	b.sizes = work.Sizes()
+	return b, nil
+}
+
+// solves reports whether b is p's solve of pa: the same stages (cell,
+// size, off-path load, inserted flag) and entry transition — every
+// input of Tmin and Tmax — solved with p's options.
+//
+//pops:noalloc
+func (b *Bounds) solves(p *Protocol, pa *delay.Path) bool {
+	if b == nil || b.proto != p || b.tauIn != pa.TauIn || len(b.stages) != len(pa.Stages) {
+		return false
+	}
+	for i := range pa.Stages {
+		s, t := &pa.Stages[i], &b.stages[i]
+		if s.Cell != t.Cell || s.CIn != t.CIn || s.COff != t.COff || s.Inserted != t.Inserted {
+			return false
+		}
+	}
+	return true
+}
+
 // PathOutcome reports the protocol's decision and result on one path.
 type PathOutcome struct {
 	Domain   Domain
@@ -170,6 +234,7 @@ type stepWorkspace struct {
 	tmaxPath  delay.Path      // Tmax throwaway copy
 	work      delay.Path      // Tmin/Distribute working copy
 	plain     delay.Path      // plain-sizing comparison copy
+	bounds    *Bounds         // a solve the next round may adopt (Optimize's first round only)
 	outcome   PathOutcome
 	step      StepResult
 	pathNames []string // per-round path names, formatted once up front
@@ -211,27 +276,44 @@ func (p *Protocol) OptimizePath(pa *delay.Path, tc float64) (*PathOutcome, error
 // workspace-free Options so its internal sizing runs cannot alias the
 // round's live results).
 //
+// Each sub-problem is solved once. When the workspace carries a Bounds
+// that solved pa, its Tmin sizes and result stand in for the round's
+// own Tmax/Tmin solve (the workspace's Bounds is consumed either way).
+// The buffered optimizers start from the round's own solves: the
+// infeasible branch hands its Tmin-sized path to MinDelayWithBuffers,
+// the hard branch its plain Distribute to the Global-mode
+// DistributeWithBuffers.
+//
 //pops:noalloc every per-round copy lands in reused buffers
 func (p *Protocol) optimizePath(ws *stepWorkspace, pa *delay.Path, tc float64) (*PathOutcome, error) {
 	m := p.cfg.Model
 	opts := p.cfg.Sizing
 	opts.NoTrace = true
 	opts.Workspace = &ws.sizing
-	tmaxPath := pa.CopyInto(&ws.tmaxPath)
 	work := pa.CopyInto(&ws.work)
 	out := &ws.outcome
 	*out = PathOutcome{}
 	bufOpts := opts
 	bufOpts.Workspace = nil
 
-	// Delay bounds: Tmax on a throwaway copy, Tmin on the working copy.
-	tmax := sizing.Tmax(m, tmaxPath)
-	rmin, err := sizing.Tmin(m, work, opts)
-	if err != nil {
-		return nil, err
+	// Delay bounds: Tmax on a throwaway copy, Tmin on the working copy —
+	// or both from the solve the workspace was handed.
+	var rmin *sizing.Result
+	if b := ws.bounds; b.solves(p, pa) {
+		for i := range work.Stages {
+			work.Stages[i].CIn = b.sizes[i]
+		}
+		rmin = &b.res
+		out.Tmax = b.Tmax
+	} else {
+		out.Tmax = sizing.Tmax(m, pa.CopyInto(&ws.tmaxPath))
+		var err error
+		if rmin, err = sizing.Tmin(m, work, opts); err != nil {
+			return nil, err
+		}
 	}
+	ws.bounds = nil
 	out.Tmin = rmin.Delay
-	out.Tmax = tmax
 	out.Tc = tc
 	out.Domain = Classify(tc, rmin.Delay)
 
@@ -252,7 +334,7 @@ func (p *Protocol) optimizePath(ws *stepWorkspace, pa *delay.Path, tc float64) (
 		if err != nil {
 			return nil, err
 		}
-		buf, errBuf := buffering.DistributeWithBuffers(m, pa, tc, p.cfg.Limits, buffering.Local, bufOpts)
+		buf, errBuf := buffering.DistributeWithBuffers(m, pa, tc, p.cfg.Limits, buffering.Local, bufOpts, buffering.Solved{})
 		if errBuf == nil && buf.Delay <= tc*(1+1e-6) && buf.Area < resPlain.Area {
 			out.fill("buffer-insertion", buf.Path, buf.Delay, buf.Area, buf.Inserted, true)
 			return out, nil
@@ -266,7 +348,8 @@ func (p *Protocol) optimizePath(ws *stepWorkspace, pa *delay.Path, tc float64) (
 		if err != nil {
 			return nil, err
 		}
-		buf, errBuf := buffering.DistributeWithBuffers(m, pa, tc, p.cfg.Limits, buffering.Global, bufOpts)
+		buf, errBuf := buffering.DistributeWithBuffers(m, pa, tc, p.cfg.Limits, buffering.Global, bufOpts,
+			buffering.Solved{Path: plain, Result: resPlain})
 		if errBuf == nil && buf.Delay <= tc*(1+1e-6) && buf.Area < resPlain.Area {
 			out.fill("buffer-insertion+global-sizing", buf.Path, buf.Delay, buf.Area, buf.Inserted, true)
 			return out, nil
@@ -275,7 +358,7 @@ func (p *Protocol) optimizePath(ws *stepWorkspace, pa *delay.Path, tc float64) (
 		return out, nil
 
 	default: // Infeasible: structure modification.
-		best, err := buffering.MinDelayWithBuffers(m, pa, p.cfg.Limits, bufOpts)
+		best, err := buffering.MinDelayWithBuffers(m, pa, buffering.Solved{Path: work, Result: rmin}, p.cfg.Limits, bufOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -490,6 +573,13 @@ func (p *Protocol) Summarize(sess *sta.Session, out *CircuitOutcome) error {
 // (usually from NewTimingSession) must be configured like the
 // protocol's own STA.
 //
+// A non-nil bounds is the session circuit's critical-path solve
+// (SolveBounds) — a batch engine solves it to derive Tc from a ratio.
+// The first round adopts its Tmin solution instead of solving the same
+// sub-problem again, provided the worst path it extracts is the path
+// bounds solved; otherwise it solves its own. The outcome is identical
+// with or without bounds.
+//
 // A non-nil leak then runs the selective multi-Vt pass of
 // internal/leakage on the same session: gates on non-critical paths
 // are promoted to higher-threshold devices, each move verified by
@@ -503,11 +593,11 @@ func (p *Protocol) Summarize(sess *sta.Session, out *CircuitOutcome) error {
 // record is copied out of it. The sequential facade, the CLI and the
 // concurrent engine all run this one loop, so their results are
 // byte-identical.
-func (p *Protocol) Optimize(ctx context.Context, sess *sta.Session, tc float64, leak *leakage.Options) (*CircuitOutcome, error) {
+func (p *Protocol) Optimize(ctx context.Context, sess *sta.Session, tc float64, leak *leakage.Options, bounds *Bounds) (*CircuitOutcome, error) {
 	if !(tc > 0) {
 		return nil, fmt.Errorf("core: non-positive constraint %g", tc)
 	}
-	ws := &stepWorkspace{}
+	ws := &stepWorkspace{bounds: bounds}
 	out := &CircuitOutcome{Tc: tc}
 	start := time.Now()
 	for round := 0; round < p.cfg.MaxRounds; round++ {

@@ -170,7 +170,7 @@ func TestOptimizePathAreaOrdering(t *testing.T) {
 
 // optimizeFresh runs the sizing rounds on a fresh timing session over c.
 func optimizeFresh(p *Protocol, c *netlist.Circuit, tc float64) (*CircuitOutcome, error) {
-	return p.Optimize(context.Background(), p.NewTimingSession(c), tc, nil)
+	return p.Optimize(context.Background(), p.NewTimingSession(c), tc, nil, nil)
 }
 
 func TestOptimizeCircuitFeasibleAndEquivalent(t *testing.T) {

@@ -18,11 +18,11 @@ import (
 	"sync"
 
 	"repro/internal/buffering"
+	"repro/internal/core"
 	"repro/internal/delay"
 	"repro/internal/gate"
 	"repro/internal/leakage"
 	"repro/internal/netlist"
-	"repro/internal/sizing"
 	"repro/internal/store"
 )
 
@@ -85,11 +85,11 @@ type limitsEntry struct {
 	limits  map[gate.Type]float64
 }
 
-// boundsEntry latches the Tmin/Tmax delay bounds of one path shape.
+// boundsEntry latches the bounds solve of one path shape.
 type boundsEntry struct {
-	once       sync.Once
-	tmin, tmax float64
-	err        error
+	once sync.Once
+	b    *core.Bounds
+	err  error
 }
 
 // resultEntry latches one completed optimization task. done is closed
@@ -169,12 +169,17 @@ func (ca *Cache) Limits(m *delay.Model) map[gate.Type]float64 {
 	return lim
 }
 
-// Bounds returns the memoized Tmin/Tmax delay bounds of a path,
-// keyed by process corner + path signature. The path itself is never
-// mutated: the solvers run on throwaway clones. The sizing options are
-// not part of the key — a cache belongs to one Engine, whose options
-// are fixed at construction.
-func (ca *Cache) Bounds(m *delay.Model, pa *delay.Path, opts sizing.Options) (tmin, tmax float64, err error) {
+// Bounds returns the memoized bounds solve of a path, keyed by process
+// corner + path signature: Tmin and Tmax plus the Tmin-sized stage
+// sizes and sizing result, solved by proto.SolveBounds with the
+// protocol's own solver options. Handed to Protocol.Optimize, the entry
+// stands in for round 0's Tmin solve on every task whose worst path
+// it solved — sweep points and memo hits from other tasks included.
+// The path itself is never mutated: the solvers run on throwaway
+// clones. The protocol is not part of the key — a cache belongs to one
+// Engine, whose protocol is fixed at construction.
+func (ca *Cache) Bounds(proto *core.Protocol, pa *delay.Path) (*core.Bounds, error) {
+	m := proto.Model()
 	key := boundsKey(m.Proc.Name + "/" + PathSignature(pa))
 	ca.mu.Lock()
 	e, ok := ca.bounds[key]
@@ -197,16 +202,8 @@ func (ca *Cache) Bounds(m *delay.Model, pa *delay.Path, opts sizing.Options) (tm
 	} else {
 		ca.metrics.memoMiss(memoBounds)
 	}
-	e.once.Do(func() {
-		e.tmax = sizing.Tmax(m, pa.Clone())
-		r, err := sizing.Tmin(m, pa.Clone(), opts)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.tmin = r.Delay
-	})
-	return e.tmin, e.tmax, e.err
+	e.once.Do(func() { e.b, e.err = proto.SolveBounds(pa) })
+	return e.b, e.err
 }
 
 // Result returns the memoized outcome of one optimization task,

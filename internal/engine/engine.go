@@ -302,13 +302,12 @@ type OptimizeRequest struct {
 
 // OptimizeResult reports one optimized circuit.
 type OptimizeResult struct {
-	Circuit    string  `json:"circuit"`
-	Tc         float64 `json:"tc"`
-	Tmin       float64 `json:"tmin"`
-	Tmax       float64 `json:"tmax"`
-	Gates      int     `json:"gates"`
-	Outcome    *core.CircuitOutcome
-	FromBounds bool // bounds served from the shared cache
+	Circuit string  `json:"circuit"`
+	Tc      float64 `json:"tc"`
+	Tmin    float64 `json:"tmin"`
+	Tmax    float64 `json:"tmax"`
+	Gates   int     `json:"gates"`
+	Outcome *core.CircuitOutcome
 }
 
 // Optimize runs the full circuit protocol for one request on the pool:
@@ -338,19 +337,13 @@ func (e *Engine) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeRe
 	return res, nil
 }
 
-// pathBounds carries a precomputed Tmin/Tmax pair into optimizeTask
-// when the caller already solved them (sweep points share one master).
-type pathBounds struct {
-	tmin, tmax float64
-}
-
 // optimizeTask is the worker body shared by Optimize, Sweep and Suite.
 // It must be called from a pool slot. src carries the resolved circuit
 // origin; instantiate overrides circuit loading when the caller
 // derives netlists from a shared master (it is only invoked on a memo
 // miss, so cached hits never pay for a clone); tb skips the
-// critical-path extraction and bounds solve when the caller already
-// has them.
+// critical-path extraction and bounds lookup when the caller already
+// holds the master's bounds (sweep points share one master).
 //
 // The whole task is memoized through the shared cache, keyed by
 // (circuit fingerprint, Tc, ratio, leakage policy): repeated
@@ -358,7 +351,7 @@ type pathBounds struct {
 // daemon, and for suite cells overlapping earlier sweeps — return the
 // completed result without recomputation. Determinism makes the memo
 // transparent: a hit is byte-identical to a fresh computation.
-func (e *Engine) optimizeTask(ctx context.Context, req OptimizeRequest, src *source, instantiate func() *netlist.Circuit, tb *pathBounds) (*OptimizeResult, error) {
+func (e *Engine) optimizeTask(ctx context.Context, req OptimizeRequest, src *source, instantiate func() *netlist.Circuit, tb *core.Bounds) (*OptimizeResult, error) {
 	r, err := e.cache.Result(ctx, resultKey(e.model.Proc.Name, src.key, req, e.cfg.Leakage), func() (*OptimizeResult, error) {
 		return e.computeTask(ctx, req, src, instantiate, tb)
 	})
@@ -377,7 +370,7 @@ func (e *Engine) optimizeTask(ctx context.Context, req OptimizeRequest, src *sou
 }
 
 // computeTask is the uncached task body behind optimizeTask.
-func (e *Engine) computeTask(ctx context.Context, req OptimizeRequest, src *source, instantiate func() *netlist.Circuit, tb *pathBounds) (*OptimizeResult, error) {
+func (e *Engine) computeTask(ctx context.Context, req OptimizeRequest, src *source, instantiate func() *netlist.Circuit, tb *core.Bounds) (*OptimizeResult, error) {
 	defer e.metrics.taskComputed(time.Now())
 	proto, err := e.protocol()
 	if err != nil {
@@ -400,11 +393,9 @@ func (e *Engine) computeTask(ctx context.Context, req OptimizeRequest, src *sour
 		if err != nil {
 			return nil, err
 		}
-		tmin, tmax, err := e.cache.Bounds(e.model, pa, e.cfg.Sizing)
-		if err != nil {
+		if tb, err = e.cache.Bounds(proto, pa); err != nil {
 			return nil, err
 		}
-		tb = &pathBounds{tmin: tmin, tmax: tmax}
 		e.metrics.stageDone(stageBounds, boundsStart)
 	}
 	tc := req.Tc
@@ -413,14 +404,15 @@ func (e *Engine) computeTask(ctx context.Context, req OptimizeRequest, src *sour
 		if ratio <= 0 {
 			ratio = 1.4
 		}
-		tc = ratio * tb.tmin
+		tc = ratio * tb.Tmin
 	}
 
 	var leak *leakage.Options
 	if req.Leakage {
 		leak = &e.cfg.Leakage
 	}
-	out, err := proto.Optimize(ctx, sess, tc, leak)
+	// The bounds solve doubles as round 0's Tmin solve.
+	out, err := proto.Optimize(ctx, sess, tc, leak, tb)
 	if err != nil {
 		return nil, err
 	}
@@ -428,8 +420,8 @@ func (e *Engine) computeTask(ctx context.Context, req OptimizeRequest, src *sour
 	return &OptimizeResult{
 		Circuit: src.display,
 		Tc:      tc,
-		Tmin:    tb.tmin,
-		Tmax:    tb.tmax,
+		Tmin:    tb.Tmin,
+		Tmax:    tb.Tmax,
 		Gates:   st.Gates,
 		Outcome: out,
 	}, nil
@@ -533,23 +525,28 @@ func (e *Engine) Sweep(ctx context.Context, req SweepRequest) (*Sweep, error) {
 	if err != nil {
 		return nil, err
 	}
+	proto, err := e.protocol()
+	if err != nil {
+		return nil, err
+	}
 	master, err := src.instantiate()
 	if err != nil {
 		return nil, err
 	}
+	boundsStart := time.Now()
 	pa, _, err := sta.CriticalPath(master, e.model, e.cfg.STA)
 	if err != nil {
 		return nil, err
 	}
-	tmin, tmax, err := e.cache.Bounds(e.model, pa, e.cfg.Sizing)
+	bounds, err := e.cache.Bounds(proto, pa)
 	if err != nil {
 		return nil, err
 	}
-	sw := &Sweep{Circuit: src.display, Tmin: tmin, Tmax: tmax, Points: make([]SweepPoint, points)}
-	bounds := &pathBounds{tmin: tmin, tmax: tmax}
+	e.metrics.stageDone(stageBounds, boundsStart)
+	sw := &Sweep{Circuit: src.display, Tmin: bounds.Tmin, Tmax: bounds.Tmax, Points: make([]SweepPoint, points)}
 	err = e.fanOut(ctx, points, func(i int) error {
 		ratio := 1.0 + float64(i)/float64(points-1)
-		r, err := e.optimizeTask(ctx, OptimizeRequest{Tc: ratio * tmin, Leakage: req.Leakage}, src, master.Clone, bounds)
+		r, err := e.optimizeTask(ctx, OptimizeRequest{Tc: ratio * bounds.Tmin, Leakage: req.Leakage}, src, master.Clone, bounds)
 		if err != nil {
 			return err
 		}

@@ -215,7 +215,11 @@ func TestCacheBoundsMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmin1, tmax1, err := e.cache.Bounds(e.Model(), pa1, sizing.Options{})
+	proto, err := e.protocol()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1, err := e.cache.Bounds(proto, pa1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,12 +230,19 @@ func TestCacheBoundsMemoized(t *testing.T) {
 	if PathSignature(pa1) != PathSignature(pa2) {
 		t.Fatal("regenerated benchmark changed its path signature")
 	}
-	tmin2, tmax2, err := e.cache.Bounds(e.Model(), pa2, sizing.Options{})
+	b2, err := e.cache.Bounds(proto, pa2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tmin1 != tmin2 || tmax1 != tmax2 {
-		t.Fatalf("cache returned different bounds: %v/%v vs %v/%v", tmin1, tmax1, tmin2, tmax2)
+	if b1 != b2 {
+		t.Fatalf("cache returned a second solve: %v/%v vs %v/%v", b1.Tmin, b1.Tmax, b2.Tmin, b2.Tmax)
+	}
+	r, err := sizing.Tmin(e.Model(), pa1.Clone(), sizing.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b1.Tmin != r.Delay {
+		t.Fatalf("memoized Tmin %v, sizing.Tmin %v", b1.Tmin, r.Delay)
 	}
 	if len(e.cache.bounds) != 1 {
 		t.Fatalf("expected one bounds entry, have %d", len(e.cache.bounds))

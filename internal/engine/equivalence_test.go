@@ -45,7 +45,7 @@ func sequentialOutcome(t *testing.T, name string, ratio float64, leak bool) (*co
 	if leak {
 		opts = &leakage.Options{}
 	}
-	out, err := proto.Optimize(context.Background(), proto.NewTimingSession(c), tc, opts)
+	out, err := proto.Optimize(context.Background(), proto.NewTimingSession(c), tc, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSweepMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := proto.Optimize(context.Background(), proto.NewTimingSession(c), p.Tc, nil)
+		out, err := proto.Optimize(context.Background(), proto.NewTimingSession(c), p.Tc, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

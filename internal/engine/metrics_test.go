@@ -157,6 +157,23 @@ func TestMetricsSnapshotMemoAndRounds(t *testing.T) {
 	}
 }
 
+// TestSweepRecordsBoundsStage checks that a sweep job, which solves its
+// bounds once for every point, records that solve in the bounds stage
+// histogram exactly once — as an optimize task records its own.
+func TestSweepRecordsBoundsStage(t *testing.T) {
+	e := newEngine(t, 2)
+	if _, err := e.Sweep(context.Background(), SweepRequest{Circuit: "fpd", Points: 3}); err != nil {
+		t.Fatal(err)
+	}
+	snap := e.MetricsSnapshot()
+	if got := snap[`pops_stage_duration_seconds_count{stage="bounds"}`]; got != 1 {
+		t.Errorf("bounds stage count after one sweep = %v, want 1", got)
+	}
+	if got := snap[`pops_stage_duration_seconds_count{stage="rounds"}`]; got != 3 {
+		t.Errorf("rounds stage count after a 3-point sweep = %v, want 3", got)
+	}
+}
+
 // TestRequestIDAssignedAndEchoed checks the trace spine: a response
 // without a client ID carries a fresh valid one; a well-formed client
 // ID is adopted verbatim; a malformed one is replaced.

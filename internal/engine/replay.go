@@ -40,18 +40,18 @@ type journalRecord struct {
 	Request   json.RawMessage `json:"request,omitempty"`
 }
 
-// acceptedRecord renders the "accepted" journal payload of one job.
+// acceptedRecord renders the "accepted" journal payload of one job in
+// one encoding pass: the request is encoded in place, in
+// journalRecord's field order and under its tags, instead of being
+// marshalled to a json.RawMessage that the outer encode would then
+// re-validate and re-compact. The bytes are the same either way.
 func acceptedRecord(kind JobKind, requestID string, req any) ([]byte, error) {
-	raw, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(journalRecord{
-		Event:     "accepted",
-		Kind:      kind,
-		RequestID: requestID,
-		Request:   raw,
-	})
+	return json.Marshal(struct {
+		Event     string  `json:"event"`
+		Kind      JobKind `json:"kind,omitempty"`
+		RequestID string  `json:"request_id,omitempty"`
+		Request   any     `json:"request,omitempty"`
+	}{"accepted", kind, requestID, req})
 }
 
 // WithJournal installs the durable job journal: accepted jobs are

@@ -418,11 +418,12 @@ func (e *Env) Table3(names []string) ([]Table3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		plain, err := sizing.Tmin(e.Model, pa.Clone(), e.Sizing)
+		sized := pa.Clone()
+		plain, err := sizing.Tmin(e.Model, sized, e.Sizing)
 		if err != nil {
 			return nil, err
 		}
-		buf, err := buffering.MinDelayWithBuffers(e.Model, pa, e.Limits, e.Sizing)
+		buf, err := buffering.MinDelayWithBuffers(e.Model, pa, buffering.Solved{Path: sized, Result: plain}, e.Limits, e.Sizing)
 		if err != nil {
 			return nil, err
 		}
@@ -471,13 +472,14 @@ func (e *Env) Fig6(name string) (*Fig6Fronts, error) {
 	}
 	fronts := &Fig6Fronts{}
 
-	rt, err := sizing.Tmin(e.Model, pa.Clone(), e.Sizing)
+	sized := pa.Clone()
+	rt, err := sizing.Tmin(e.Model, sized, e.Sizing)
 	if err != nil {
 		return nil, err
 	}
 	fronts.Tmin = rt.Delay
 
-	buf, err := buffering.MinDelayWithBuffers(e.Model, pa, e.Limits, e.Sizing)
+	buf, err := buffering.MinDelayWithBuffers(e.Model, pa, buffering.Solved{Path: sized, Result: rt}, e.Limits, e.Sizing)
 	if err != nil {
 		return nil, err
 	}
@@ -563,13 +565,17 @@ func (e *Env) Fig8(names []string) ([]Fig8Row, error) {
 			tc := lv.ratio * rt.Delay
 			row := Fig8Row{Name: name, Domain: lv.domain, Tc: tc}
 
-			if r, err := sizing.Distribute(e.Model, pa.Clone(), tc, e.Sizing); err == nil {
+			// The plain distribution doubles as Global mode's start.
+			var plain buffering.Solved
+			sized := pa.Clone()
+			if r, err := sizing.Distribute(e.Model, sized, tc, e.Sizing); err == nil {
 				row.Sizing, row.SizingOK = r.Area, true
+				plain = buffering.Solved{Path: sized, Result: r}
 			}
-			if r, err := buffering.DistributeWithBuffers(e.Model, pa, tc, e.Limits, buffering.Local, e.Sizing); err == nil {
+			if r, err := buffering.DistributeWithBuffers(e.Model, pa, tc, e.Limits, buffering.Local, e.Sizing, buffering.Solved{}); err == nil {
 				row.LocalB, row.LocalOK = r.Area, true
 			}
-			if r, err := buffering.DistributeWithBuffers(e.Model, pa, tc, e.Limits, buffering.Global, e.Sizing); err == nil {
+			if r, err := buffering.DistributeWithBuffers(e.Model, pa, tc, e.Limits, buffering.Global, e.Sizing, plain); err == nil {
 				row.GlobalB, row.GlobOK = r.Area, true
 			}
 			rows = append(rows, row)
@@ -661,7 +667,7 @@ func (e *Env) table4One(name, domain string, ratio float64) (*Table4Row, error) 
 	tc := ratio * rt.Delay
 
 	// Flow A: buffer insertion (+ global sizing).
-	buf, errBuf := buffering.DistributeWithBuffers(e.Model, pa, tc, e.Limits, buffering.Global, e.Sizing)
+	buf, errBuf := buffering.DistributeWithBuffers(e.Model, pa, tc, e.Limits, buffering.Global, e.Sizing, buffering.Solved{})
 	buffArea := 0.0
 	if errBuf == nil {
 		buffArea = buf.Area
@@ -708,7 +714,7 @@ func (e *Env) table4One(name, domain string, ratio float64) (*Table4Row, error) 
 	}
 	// The rewrite replaces the inefficient gate; the rest of the path
 	// keeps the full protocol toolbox (buffers where still warranted).
-	b2, err2 := buffering.DistributeWithBuffers(e.Model, pa2, tc, e.Limits, buffering.Global, e.Sizing)
+	b2, err2 := buffering.DistributeWithBuffers(e.Model, pa2, tc, e.Limits, buffering.Global, e.Sizing, buffering.Solved{})
 	if err2 != nil && b2 == nil {
 		return nil, fmt.Errorf("table4 %s/%s: buffered re-optimization: %v", name, domain, err2)
 	}

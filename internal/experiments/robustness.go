@@ -142,11 +142,12 @@ func (e *Env) SeedSweep(name string, seeds int) (*SeedSweepRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		plain, err := sizing.Tmin(e.Model, pa.Clone(), e.Sizing)
+		sized := pa.Clone()
+		plain, err := sizing.Tmin(e.Model, sized, e.Sizing)
 		if err != nil {
 			return nil, err
 		}
-		buf, err := buffering.MinDelayWithBuffers(e.Model, pa, e.Limits, e.Sizing)
+		buf, err := buffering.MinDelayWithBuffers(e.Model, pa, buffering.Solved{Path: sized, Result: plain}, e.Limits, e.Sizing)
 		if err != nil {
 			return nil, err
 		}

@@ -47,7 +47,7 @@ func sized(t *testing.T, name string, ratio float64) (*netlist.Circuit, *delay.M
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := proto.Optimize(context.Background(), proto.NewTimingSession(c), tc, nil)
+	out, err := proto.Optimize(context.Background(), proto.NewTimingSession(c), tc, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

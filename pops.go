@@ -284,7 +284,7 @@ type PathBounds struct {
 func Bounds(m *Model, pa *Path) (PathBounds, error) {
 	q := pa.Clone()
 	tmax := sizing.Tmax(m, q)
-	r, err := sizing.Tmin(m, pa, sizing.Options{})
+	r, err := sizing.Tmin(m, pa, sizing.Options{NoTrace: true})
 	if err != nil {
 		return PathBounds{}, err
 	}

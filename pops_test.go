@@ -170,7 +170,7 @@ func TestProtocolFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := proto.Optimize(context.Background(), proto.NewTimingSession(c), 1.4*b.Tmin, nil)
+	out, err := proto.Optimize(context.Background(), proto.NewTimingSession(c), 1.4*b.Tmin, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
