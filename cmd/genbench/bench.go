@@ -9,7 +9,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -20,8 +19,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"repro"
 )
 
 // errVet marks a capture aborted because `go vet` rejected the target
@@ -48,10 +45,6 @@ type BenchHost struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu,omitempty"`
 	Note       string `json:"note,omitempty"`
-	// EngineMetrics is the post-capture snapshot of a small in-process
-	// engine workload (see captureEngineMetrics): task counts and memo
-	// hit/miss counters of the build the record was captured on.
-	EngineMetrics map[string]float64 `json:"engine_metrics,omitempty"`
 }
 
 // BenchResult is one parsed benchmark line. AllocsPerOp/BytesPerOp are
@@ -76,7 +69,6 @@ func runBenchCapture(args []string) error {
 	count := fs.Int("count", 1, "value passed to -count")
 	desc := fs.String("desc", "", "description embedded in the record")
 	note := fs.String("note", "", "host note embedded in the record")
-	engineMetrics := fs.Bool("engine-metrics", true, "embed a post-run engine metrics snapshot in the host block")
 	allowSingleCore := fs.Bool("allow-single-core", false, "record anyway on a single-core host (engine workers= rows will be meaningless)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -153,13 +145,6 @@ func runBenchCapture(args []string) error {
 	if len(rec.Results) == 0 {
 		return fmt.Errorf("pattern %q matched no benchmarks:\n%s", *pattern, buf.String())
 	}
-	if *engineMetrics {
-		em, err := captureEngineMetrics()
-		if err != nil {
-			return fmt.Errorf("engine metrics snapshot: %w", err)
-		}
-		rec.Host.EngineMetrics = em
-	}
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
 		return err
@@ -169,33 +154,6 @@ func runBenchCapture(args []string) error {
 	}
 	fmt.Printf("recorded %d benchmark results → %s\n", len(rec.Results), *out)
 	return nil
-}
-
-// captureEngineMetrics runs a tiny deterministic engine workload — the
-// same (circuit, Tc) unit submitted twice, so the second submission
-// exercises the result memo — and returns the non-zero counters of the
-// engine's metrics snapshot. The record then carries the memo hit
-// rates and task counts of the build it was captured on, alongside the
-// timing numbers. Duration histograms are dropped: their sums are
-// wall-clock noise, while the counters are exactly reproducible.
-func captureEngineMetrics() (map[string]float64, error) {
-	eng, err := pops.NewEngine(pops.EngineConfig{Workers: 2})
-	if err != nil {
-		return nil, err
-	}
-	ctx := context.Background()
-	for range 2 {
-		if _, err := eng.Optimize(ctx, pops.OptimizeRequest{Circuit: "c17", Ratio: 1.4}); err != nil {
-			return nil, err
-		}
-	}
-	out := make(map[string]float64)
-	for k, v := range eng.MetricsSnapshot() {
-		if v != 0 && !strings.Contains(k, "duration") {
-			out[k] = v
-		}
-	}
-	return out, nil
 }
 
 // parseBenchOutput scans `go test -bench` output: header lines (goos,

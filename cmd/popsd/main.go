@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	popsd [-addr :8080] [-workers N] [-max-rounds N] [-pprof-addr addr]
+//	popsd [-addr :8080] [-workers N] [-pprof-addr addr]
 //	      [-log-level info] [-log-format text]
 //	      [-data-dir dir] [-flush-interval 1s]
 //
@@ -74,7 +74,6 @@ type options struct {
 	addr          string
 	pprofAddr     string
 	workers       int
-	maxRounds     int
 	logLevel      string
 	logFormat     string
 	dataDir       string
@@ -89,7 +88,6 @@ func main() {
 	var opts options
 	flag.StringVar(&opts.addr, "addr", ":8080", "listen address")
 	flag.IntVar(&opts.workers, "workers", runtime.GOMAXPROCS(0), "worker-pool size")
-	flag.IntVar(&opts.maxRounds, "max-rounds", 0, "per-circuit protocol round bound (0: library default)")
 	flag.StringVar(&opts.pprofAddr, "pprof-addr", "", "listen address of the opt-in net/http/pprof debug endpoint (empty: disabled)")
 	flag.StringVar(&opts.logLevel, "log-level", "info", "minimum log level: debug, info, warn or error")
 	flag.StringVar(&opts.logFormat, "log-format", "text", "log line encoding: text or json")
@@ -180,7 +178,7 @@ func run(ctx context.Context, opts options, logw io.Writer) error {
 		return err
 	}
 
-	cfg := engine.Config{Workers: opts.workers, MaxRounds: opts.maxRounds}
+	cfg := engine.Config{Workers: opts.workers}
 	var (
 		eng     *engine.Engine
 		dur     *durability

@@ -1,8 +1,7 @@
 // Package rngstream enforces the repository's reproducible-randomness
 // contract. Every stochastic result — Monte-Carlo power estimation,
 // generated benchmark netlists, annealing schedules — must replay
-// bit-exactly from a recorded seed, and must stay bit-exact when the
-// same work runs on the parallel worker pool. Three rules follow:
+// bit-exactly from a recorded seed. Two rules follow:
 //
 //   - No global math/rand state in non-test code. The package-level
 //     functions (rand.Intn, rand.Float64, rand.Shuffle, rand.Seed, …)
@@ -13,15 +12,6 @@
 //   - No time-derived seeds. time.Now().UnixNano() as a seed makes
 //     every run unrepeatable by construction; seeds come from config,
 //     flags, or a recorded session.
-//
-//   - No RNG draw inside a parallel callback. A closure passed to
-//     par.Run or par.Wavefront runs under a scheduler-chosen
-//     interleaving, so the n-th draw lands on a scheduler-chosen
-//     worker and byte-identity with serial dies. Streams must be
-//     pre-drawn serially before the fan-out — the contract
-//     internal/power/parallel.go establishes by packing vectors
-//     before par.Run — or split per-chunk with a deterministic
-//     derivation.
 //
 // Test files are exempt throughout: tests may use throwaway
 // randomness freely.
@@ -34,11 +24,6 @@ import (
 	"popslint/internal/analysis"
 	"popslint/internal/lintutil"
 )
-
-// ParPath matches parcapture's notion of the parallel executors.
-const ParPath = "repro/internal/par"
-
-var executors = map[string]bool{"Run": true, "Wavefront": true}
 
 // randPkgs are the package paths whose draws are policed. crypto/rand
 // is deliberately absent: it is non-reproducible by design and used
@@ -55,55 +40,23 @@ var constructors = map[string]bool{
 
 var Analyzer = &analysis.Analyzer{
 	Name: "rngstream",
-	Doc:  "non-test code must use explicit seeded rand streams, never time-derived seeds, and never draw randomness inside a parallel callback",
+	Doc:  "non-test code must use explicit seeded rand streams, never time-derived seeds",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		// First locate every closure handed to a par executor, so
-		// draws inside them get the parallel-specific diagnostic.
-		parLits := map[*ast.FuncLit]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := lintutil.CalleeFunc(pass.TypesInfo, call)
-			if callee == nil || callee.Pkg() == nil ||
-				callee.Pkg().Path() != ParPath || !executors[callee.Name()] {
-				return true
-			}
-			for _, arg := range call.Args {
-				if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-					parLits[lit] = true
-				}
+			if call, ok := n.(*ast.CallExpr); ok && !pass.InTestFile(call.Pos()) {
+				checkCall(pass, call)
 			}
 			return true
 		})
-
-		var inPar int
-		var walk func(n ast.Node) bool
-		walk = func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok && parLits[lit] {
-				inPar++
-				ast.Inspect(lit.Body, walk)
-				inPar--
-				return false
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok || pass.InTestFile(call.Pos()) {
-				return true
-			}
-			checkCall(pass, call, inPar > 0)
-			return true
-		}
-		ast.Inspect(f, walk)
 	}
 	return nil
 }
 
-func checkCall(pass *analysis.Pass, call *ast.CallExpr, inPar bool) {
+func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 	callee := lintutil.CalleeFunc(pass.TypesInfo, call)
 	if callee == nil || callee.Pkg() == nil || !randPkgs[callee.Pkg().Path()] {
 		return
@@ -111,16 +64,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, inPar bool) {
 	sig, _ := callee.Type().(*types.Signature)
 	isMethod := sig != nil && sig.Recv() != nil
 
-	// Rule 3 outranks the rest: any draw in a parallel callback, even
-	// through an explicit *rand.Rand, breaks the serial-order stream.
-	if inPar {
-		pass.Reportf(call.Pos(),
-			"%s.%s called inside a par worker closure: the n-th draw would land on a scheduler-chosen worker; pre-draw the stream serially before the fan-out (see internal/power/parallel.go)",
-			callee.Pkg().Name(), callee.Name())
-		return
-	}
-
-	// Rule 2: time-derived seeds anywhere in the argument list.
+	// Time-derived seeds anywhere in the argument list. anywhere in the argument list.
 	for _, arg := range call.Args {
 		if derivedFromTime(pass, arg) {
 			pass.Reportf(arg.Pos(),
@@ -130,7 +74,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, inPar bool) {
 		}
 	}
 
-	// Rule 1: package-level draws share process-global state.
+	// Package-level draws share process-global state. share process-global state.
 	if !isMethod && !constructors[callee.Name()] {
 		pass.Reportf(call.Pos(),
 			"global %s.%s draws from process-wide state any package can perturb: construct an explicit stream with rand.New(rand.NewSource(seed))",

@@ -1,10 +1,9 @@
 // Package a exercises rngstream: explicit seeded streams only, no
-// time seeds, no draws inside parallel callbacks.
+// time seeds.
 package a
 
 import (
 	"math/rand"
-	"repro/internal/par"
 	"time"
 )
 
@@ -32,41 +31,10 @@ func timeSeeds() *rand.Rand {
 	return rand.New(rand.NewSource(time.Now().UnixNano())) // want `time-derived seed passed to rand.NewSource`
 }
 
-// preDrawn is the PR-9 parallel contract: the whole stream is drawn
-// serially before the fan-out, workers only read it.
-func preDrawn(seed int64, n, k int) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	packed := make([]float64, n)
-	for i := range packed {
-		packed[i] = rng.Float64()
-	}
-	out := make([]float64, n)
-	par.Run(k, func(i int) {
-		lo, hi := par.Chunk(i, k, n)
-		for j := lo; j < hi; j++ {
-			out[j] = packed[j] * 2
-		}
-	})
-	return out
-}
-
-// drawInWorker pulls from a stream inside the callback: the n-th draw
-// lands on a scheduler-chosen worker.
-func drawInWorker(seed int64, n, k int) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]float64, n)
-	par.Run(k, func(i int) {
-		lo, hi := par.Chunk(i, k, n)
-		for j := lo; j < hi; j++ {
-			out[j] = rng.Float64() // want `rand.Float64 called inside a par worker closure`
-		}
-	})
-	return out
-}
-
-// globalDrawInWorker is doubly wrong; the parallel diagnostic wins.
-func globalDrawInWorker(k int) {
-	par.Run(k, func(i int) {
-		_ = rand.Intn(10) // want `rand.Intn called inside a par worker closure`
-	})
+// globalDrawInWorker draws from the global source inside a goroutine;
+// the global-draw rule flags it wherever the call sits.
+func globalDrawInWorker(done chan<- int) {
+	go func() {
+		done <- rand.Intn(10) // want `global rand.Intn draws from process-wide state`
+	}()
 }

@@ -3,7 +3,7 @@
 // invariants the compiler cannot see but the optimization protocol's
 // correctness rests on.
 //
-// The eight analyzers:
+// The seven analyzers:
 //
 //	mutatorepoch  structural netlist mutations must bump the circuit
 //	              epoch (MarkMutated), and only internal/netlist may
@@ -15,12 +15,8 @@
 //	              raw circuit-name strings
 //	nilrecorder   *engine.Metrics methods and recorder implementations
 //	              must begin with a nil-receiver guard
-//	parcapture    closures passed to par.Run/par.Wavefront may write
-//	              only their own locals or index-disjoint slice
-//	              elements derived from the chunk bounds
 //	rngstream     explicit seeded rand streams only: no global
-//	              math/rand, no time-derived seeds, no draw inside a
-//	              parallel callback
+//	              math/rand, no time-derived seeds
 //	maporder      map iteration in result-affecting packages needs an
 //	              intervening sort or a //pops:orderindep annotation
 //	              before its effect reaches a result
@@ -65,7 +61,6 @@ import (
 	"popslint/internal/analyzers/mutatorepoch"
 	"popslint/internal/analyzers/nilrecorder"
 	"popslint/internal/analyzers/noalloc"
-	"popslint/internal/analyzers/parcapture"
 	"popslint/internal/analyzers/rngstream"
 	"popslint/internal/unit"
 )
@@ -77,7 +72,6 @@ func all() []*analysis.Analyzer {
 		noalloc.Analyzer,
 		memokey.Analyzer,
 		nilrecorder.Analyzer,
-		parcapture.Analyzer,
 		rngstream.Analyzer,
 		maporder.Analyzer,
 		locksafe.Analyzer,

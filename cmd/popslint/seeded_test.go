@@ -11,14 +11,13 @@ import (
 	"popslint/internal/analysis"
 	"popslint/internal/analyzers/locksafe"
 	"popslint/internal/analyzers/maporder"
-	"popslint/internal/analyzers/parcapture"
 	"popslint/internal/analyzers/rngstream"
 )
 
 // The seeded-violation tests are the suite's dead-man switch: each
 // one injects the exact bug class an analyzer exists to catch — a
-// captured-scalar write, a global rand.Intn, an unsorted map-order
-// leak, a held-lock channel send — into an in-memory package with the
+// global rand.Intn, an unsorted map-order leak, a held-lock channel
+// send — into an in-memory package with the
 // production import path, runs the full suite through the same
 // analysis.Run entrypoint CI uses, and demands a red result. If an
 // analyzer regresses into silence, these fail before the tree can
@@ -29,13 +28,6 @@ type memPkg struct {
 	path string
 	src  string
 }
-
-// fakePar mirrors the executor shapes the concurrency analyzers key on.
-const fakePar = `package par
-func Chunk(i, k, n int) (lo, hi int) { return i * n / k, (i + 1) * n / k }
-func Run(k int, fn func(i int)) { fn(0) }
-func Wavefront(workers int, offsets []int, minSpan int, reverse bool, fn func(lo, hi int)) { fn(0, 0) }
-`
 
 const fakeSync = `package sync
 type Mutex struct{ state int }
@@ -106,25 +98,6 @@ func wantRed(t *testing.T, diags []analysis.Diagnostic, substr string) {
 		substr, len(diags), diags)
 }
 
-func TestSeededCapturedScalarWriteGoesRed(t *testing.T) {
-	diags := analyzeSeeded(t, parcapture.Analyzer,
-		[]memPkg{{"repro/internal/par", fakePar}},
-		memPkg{"repro/internal/power", `package power
-import "repro/internal/par"
-func tally(n, k int) int {
-	count := 0
-	par.Run(k, func(i int) {
-		lo, hi := par.Chunk(i, k, n)
-		for j := lo; j < hi; j++ {
-			count++ // seeded violation: captured-scalar write
-		}
-	})
-	return count
-}
-`})
-	wantRed(t, diags, "write to captured count")
-}
-
 func TestSeededGlobalRandGoesRed(t *testing.T) {
 	diags := analyzeSeeded(t, rngstream.Analyzer,
 		[]memPkg{{"math/rand", fakeRand}},
@@ -175,32 +148,28 @@ func (x *notifier) bump() {
 	wantRed(t, diags, "channel send while holding x.mu")
 }
 
-// TestSeededCleanStaysGreen is the control: the blessed version of
-// each shape produces no findings, so the red tests above fail for
-// the right reason.
+// TestSeededCleanStaysGreen is the control: the blessed version of a
+// seeded shape — the same send, made after the unlock — produces no
+// findings, so the red tests above fail for the right reason.
 func TestSeededCleanStaysGreen(t *testing.T) {
-	diags := analyzeSeeded(t, parcapture.Analyzer,
-		[]memPkg{{"repro/internal/par", fakePar}},
-		memPkg{"repro/internal/power", `package power
-import "repro/internal/par"
-func tally(vals []int, k int) int {
-	sums := make([]int, k)
-	par.Run(k, func(i int) {
-		lo, hi := par.Chunk(i, k, len(vals))
-		s := 0
-		for j := lo; j < hi; j++ {
-			s += vals[j]
-		}
-		sums[i] = s
-	})
-	total := 0
-	for _, s := range sums {
-		total += s
-	}
-	return total
+	diags := analyzeSeeded(t, locksafe.Analyzer,
+		[]memPkg{{"sync", fakeSync}},
+		memPkg{"repro/internal/store", `package store
+import "sync"
+type notifier struct {
+	mu sync.Mutex
+	ch chan int
+	n  int
+}
+func (x *notifier) bump() {
+	x.mu.Lock()
+	x.n++
+	n := x.n
+	x.mu.Unlock()
+	x.ch <- n
 }
 `})
 	if len(diags) != 0 {
-		t.Errorf("clean parallel reduction flagged: %+v", diags)
+		t.Errorf("send after unlock flagged: %+v", diags)
 	}
 }

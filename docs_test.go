@@ -229,22 +229,23 @@ func TestDocsDurabilityCovered(t *testing.T) {
 }
 
 // TestDocsConcurrencyLintCovered pins the concurrency-and-determinism
-// lint surface: the architecture page must describe the four PR-9
-// contract analyzers, the analyzer-to-invariant table, the orderindep
-// annotation, and the suppression budget; the README must carry the
-// ignores workflow and the enforced staticcheck note.
+// lint surface: the architecture page must describe the three
+// concurrency and determinism analyzers, the analyzer-to-invariant
+// table, the orderindep annotation, and the suppression budget; the
+// README must carry the ignores workflow and the enforced staticcheck
+// note.
 func TestDocsConcurrencyLintCovered(t *testing.T) {
 	requirements := map[string][]string{
 		filepath.Join("docs", "ARCHITECTURE.md"): {
-			"The eight analyzers",
-			"parcapture", "rngstream", "maporder", "locksafe",
+			"The seven analyzers",
+			"rngstream", "maporder", "locksafe",
 			"byte-identity", "//pops:orderindep",
-			"pre-drawn serially", "block after the unlock",
+			"block after the unlock",
 			"-ignores", "ignores_budget.txt",
 			"seeded-violation", "staticcheck",
 		},
 		"README.md": {
-			"parcapture", "rngstream", "maporder", "locksafe",
+			"rngstream", "maporder", "locksafe",
 			"//pops:orderindep", "-ignores", "ignores_budget.txt",
 			"staticcheck",
 		},

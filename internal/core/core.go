@@ -93,10 +93,6 @@ type Config struct {
 	// Limits is the Flimit characterization; nil triggers
 	// CharacterizeLibrary on first use.
 	Limits map[gate.Type]float64
-	// Sizing tunes the inner solvers.
-	Sizing sizing.Options
-	// STA configures path extraction for the circuit driver.
-	STA sta.Config
 	// MaxRounds bounds the optimize-worst-path iterations of the
 	// circuit driver (default 12).
 	MaxRounds int
@@ -146,31 +142,30 @@ func (p *Protocol) Model() *delay.Model { return p.cfg.Model }
 
 // Bounds is the solved delay space of one bounded path (§3.1): Tmin
 // and Tmax, plus the Tmin-sized stage sizes and the sizing result that
-// produced them. SolveBounds builds one with the protocol's own solver
-// options, so it holds exactly the solve a round runs on the same path:
-// Optimize's first round adopts it instead of calling sizing.Tmin again
-// when the extracted worst path is the path it solved. A Bounds is
-// read-only once built and may be shared across goroutines.
+// produced them. SolveBounds builds one on the protocol's model with a
+// round's solver options, so it holds exactly the solve a round runs on
+// the same path: Optimize's first round adopts it instead of calling
+// sizing.Tmin again when the extracted worst path is the path it
+// solved. A Bounds is read-only once built and may be shared across
+// goroutines.
 type Bounds struct {
 	Tmin float64 // minimum achievable delay (ps)
 	Tmax float64 // all-minimum-drive delay (ps)
 
-	proto  *Protocol     // the protocol whose options solved it
+	proto  *Protocol     // the protocol (and so the model) that solved it
 	tauIn  float64       // the solved path's entry transition
 	stages []delay.Stage // the solved path's stages, Node links dropped
 	sizes  []float64     // stage input capacitances at the Tmin point
 	res    sizing.Result // the Tmin solve's result (untraced)
 }
 
-// SolveBounds solves pa's delay bounds with the protocol's solver
-// options, exactly as a round does: Tmax on one copy, Tmin (untraced,
+// SolveBounds solves pa's delay bounds on the protocol's model,
+// exactly as a round does: Tmax on one copy, Tmin (untraced,
 // on a scratch workspace) on another. pa is not modified. The result
 // keeps no link to pa's netlist nodes.
 func (p *Protocol) SolveBounds(pa *delay.Path) (*Bounds, error) {
 	m := p.cfg.Model
-	opts := p.cfg.Sizing
-	opts.NoTrace = true
-	opts.Workspace = &sizing.Workspace{}
+	opts := sizing.Options{NoTrace: true, Workspace: &sizing.Workspace{}}
 	b := &Bounds{proto: p, tauIn: pa.TauIn, stages: append([]delay.Stage(nil), pa.Stages...)}
 	for i := range b.stages {
 		b.stages[i].Node = nil
@@ -189,7 +184,7 @@ func (p *Protocol) SolveBounds(pa *delay.Path) (*Bounds, error) {
 
 // solves reports whether b is p's solve of pa: the same stages (cell,
 // size, off-path load, inserted flag) and entry transition — every
-// input of Tmin and Tmax — solved with p's options.
+// input of Tmin and Tmax — solved on p's model.
 //
 //pops:noalloc
 func (b *Bounds) solves(p *Protocol, pa *delay.Path) bool {
@@ -287,9 +282,7 @@ func (p *Protocol) OptimizePath(pa *delay.Path, tc float64) (*PathOutcome, error
 //pops:noalloc every per-round copy lands in reused buffers
 func (p *Protocol) optimizePath(ws *stepWorkspace, pa *delay.Path, tc float64) (*PathOutcome, error) {
 	m := p.cfg.Model
-	opts := p.cfg.Sizing
-	opts.NoTrace = true
-	opts.Workspace = &ws.sizing
+	opts := sizing.Options{NoTrace: true, Workspace: &ws.sizing}
 	work := pa.CopyInto(&ws.work)
 	out := &ws.outcome
 	*out = PathOutcome{}
@@ -445,7 +438,7 @@ const stepSlack = 5e-4
 // recycled across every round, full re-analysis only when the circuit's
 // structural epoch moves.
 func (p *Protocol) NewTimingSession(c *netlist.Circuit) *sta.Session {
-	return sta.NewSession(c, p.cfg.Model, p.cfg.STA)
+	return sta.NewSession(c, p.cfg.Model, sta.Config{})
 }
 
 // OptimizeStep runs one round of the circuit driver: analyze
@@ -503,7 +496,7 @@ func (p *Protocol) optimizeStep(ws *stepWorkspace, sess *sta.Session, tc float64
 		return nil, fmt.Errorf("core: circuit %s has no critical path", c.Name)
 	}
 	name := ws.roundName(c.Name, round, p.cfg.MaxRounds)
-	if err := sta.PathFromNodesInto(&ws.path, name, ws.crit, m, p.cfg.STA); err != nil {
+	if err := sta.PathFromNodesInto(&ws.path, name, ws.crit, m, sta.Config{}); err != nil {
 		return nil, err
 	}
 	po, err := p.optimizePath(ws, &ws.path, tcEff)
@@ -570,8 +563,8 @@ func (p *Protocol) Summarize(sess *sta.Session, out *CircuitOutcome) error {
 // reach Tc — rewrite the path's NOR gates by De Morgan duals before
 // retrying. Cancellation is honored between rounds. The circuit is
 // modified in place; clone it first to keep the original. The session
-// (usually from NewTimingSession) must be configured like the
-// protocol's own STA.
+// (usually from NewTimingSession) must run the default sta.Config, as
+// the rounds' path extraction does.
 //
 // A non-nil bounds is the session circuit's critical-path solve
 // (SolveBounds) — a batch engine solves it to derive Tc from a ratio.

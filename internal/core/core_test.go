@@ -84,7 +84,7 @@ func benchPath(t *testing.T, name string) (*Protocol, *delay.Path) {
 		t.Fatal(err)
 	}
 	c := iscas.MustGenerate(spec)
-	pa, _, err := sta.CriticalPath(c, p.cfg.Model, p.cfg.STA)
+	pa, _, err := sta.CriticalPath(c, p.cfg.Model, sta.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func benchPath(t *testing.T, name string) (*Protocol, *delay.Path) {
 
 func TestOptimizePathDomains(t *testing.T) {
 	p, pa := benchPath(t, "c432")
-	rt, err := sizing.Tmin(p.cfg.Model, pa.Clone(), p.cfg.Sizing)
+	rt, err := sizing.Tmin(p.cfg.Model, pa.Clone(), sizing.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestOptimizePathDomains(t *testing.T) {
 
 func TestOptimizePathInfeasibleUsesBuffers(t *testing.T) {
 	p, pa := benchPath(t, "c880")
-	rt, err := sizing.Tmin(p.cfg.Model, pa.Clone(), p.cfg.Sizing)
+	rt, err := sizing.Tmin(p.cfg.Model, pa.Clone(), sizing.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestOptimizePathInfeasibleUsesBuffers(t *testing.T) {
 func TestOptimizePathAreaOrdering(t *testing.T) {
 	// Looser constraints must never cost more area.
 	p, pa := benchPath(t, "c1355")
-	rt, _ := sizing.Tmin(p.cfg.Model, pa.Clone(), p.cfg.Sizing)
+	rt, _ := sizing.Tmin(p.cfg.Model, pa.Clone(), sizing.Options{})
 	prev := math.Inf(1)
 	for _, ratio := range []float64{1.05, 1.4, 2.0, 3.0} {
 		out, err := p.OptimizePath(pa, ratio*rt.Delay)

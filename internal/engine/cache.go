@@ -3,7 +3,7 @@
 // corner (the Fig. 7 "library characterization" step, shared by every
 // job on that corner), the Tmin/Tmax delay bounds of a path (shared by
 // every Tc point of a sweep and by repeated submissions of the same
-// circuit), and whole (circuit, Tc, leakage-policy) task results
+// circuit), and whole (circuit, Tc, leakage flag) task results
 // (shared by repeated submissions — the common case for a long-running
 // daemon). Entries are computed once under a per-key latch, so
 // concurrent workers hitting the same key block on one computation
@@ -21,7 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/delay"
 	"repro/internal/gate"
-	"repro/internal/leakage"
 	"repro/internal/netlist"
 	"repro/internal/store"
 )
@@ -52,7 +51,7 @@ type Cache struct {
 	boundsOrder []boundsKey
 
 	// Result memoization: completed optimization tasks keyed by
-	// (process, circuit fingerprint, Tc, ratio, leakage policy),
+	// (process, circuit fingerprint, Tc, ratio, leakage flag),
 	// bounded FIFO.
 	results     map[taskKey]*resultEntry
 	resultOrder []taskKey
@@ -323,31 +322,32 @@ func (ca *Cache) tierPut(key taskKey, res *OptimizeResult) {
 	ca.metrics.storeWrite()
 }
 
-// resultKey spells out one (process, circuit, request, leakage policy)
-// task as a delimited string — the components themselves, not a hash,
-// so distinct tasks can never collide into each other's memo entry.
-// The circuit is identified by its canonical content fingerprint
+// resultKey spells out one (process, circuit, request) task as a
+// delimited string — the components themselves, not a hash, so
+// distinct tasks can never collide into each other's memo entry. The
+// circuit is identified by its canonical content fingerprint
 // (netlist.Fingerprint), never by a client-chosen name: two different
 // netlists sharing a name occupy distinct entries, and identical
 // netlists under different names share one. Floats are keyed by their
-// exact bit patterns. The leakage policy is part of the key only when
-// the request's flag is on, so retuning the engine-wide policy never
-// aliases dynamic-only entries.
-func resultKey(proc, circuit string, req OptimizeRequest, pol leakage.Options) taskKey {
+// exact bit patterns. The engine has one configuration (see Config),
+// so nothing else can change a result. The bytes must never change:
+// the durable tier addresses records by storeKeyFor(key), so a changed
+// byte orphans every record of an existing data dir
+// (TestResultKeyBytes pins them).
+func resultKey(proc, circuit string, req OptimizeRequest) taskKey {
 	key := fmt.Sprintf("%s|%s|%x|%x", proc, circuit,
 		math.Float64bits(req.Tc), math.Float64bits(req.Ratio))
 	if !req.Leakage {
 		return taskKey(key + "|dyn")
 	}
-	return taskKey(key + fmt.Sprintf("|leak|%x|%d|%d|%x|%x|%v|%d",
-		math.Float64bits(pol.Power.FrequencyMHz),
-		pol.Power.Vectors,
-		pol.Power.Seed,
-		math.Float64bits(pol.Power.InputActivity),
-		math.Float64bits(pol.STA.InputTau),
-		pol.CapAtSVT,
-		pol.MaxPromotions))
+	return taskKey(key + leakKeySuffix)
 }
+
+// leakKeySuffix ends the key of a leakage-aware task: the zero
+// leakage.Options the engine runs, spelled out field by field
+// (frequency, vectors, seed, input activity, entry transition, SVT
+// cap, promotion ceiling).
+const leakKeySuffix = "|leak|0|0|0|0|0|false|0"
 
 // PathSignature returns a stable fingerprint of a path's optimization
 // sub-problem: the stage cell sequence with sizes and off-path loads,

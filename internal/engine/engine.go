@@ -36,30 +36,20 @@ import (
 	"repro/internal/leakage"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/sizing"
 	"repro/internal/sta"
 	"repro/internal/store"
 	"repro/internal/tech"
 )
 
-// Config parameterizes an Engine.
+// Config parameterizes an Engine. Neither field can change a result:
+// the engine always runs the paper's protocol on tech.CMOS025() with
+// the core driver's default solvers, STA and round bound, and the zero
+// leakage.Options policy, so the result memo's key — circuit
+// fingerprint, Tc, ratio, leakage flag — is complete by construction.
 type Config struct {
 	// Workers bounds the number of concurrently running tasks.
 	// Zero selects runtime.GOMAXPROCS(0).
 	Workers int
-	// Process is the technology corner; nil selects tech.CMOS025().
-	Process *tech.Process
-	// Sizing tunes the inner solvers (forwarded to the protocol).
-	Sizing sizing.Options
-	// STA configures path extraction (forwarded to the protocol).
-	STA sta.Config
-	// MaxRounds bounds the per-circuit optimize-worst-path iterations
-	// (default: the core driver's 12).
-	MaxRounds int
-	// Leakage is the engine-wide multi-Vt policy applied to requests
-	// that set their Leakage flag (power-simulation vectors, promotion
-	// ceiling). It is part of the result-memoization key.
-	Leakage leakage.Options
 	// Results is the durable result store behind the in-memory memo
 	// (nil: memory-only, the default — behavior is then unchanged). A
 	// memo miss probes it before computing; computed results are
@@ -82,20 +72,15 @@ type Engine struct {
 }
 
 // New builds an engine. The library is characterized lazily, on the
-// first job that needs the Flimit table.
+// first job that needs the Flimit table. The error is always nil: the
+// engine's one configuration has nothing left to validate.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Process == nil {
-		cfg.Process = tech.CMOS025()
-	}
-	if err := cfg.Process.Validate(); err != nil {
-		return nil, err
-	}
 	e := &Engine{
 		cfg:     cfg,
-		model:   delay.NewModel(cfg.Process),
+		model:   delay.NewModel(tech.CMOS025()),
 		cache:   NewCache(),
 		slots:   make(chan struct{}, cfg.Workers),
 		metrics: newMetrics(),
@@ -117,8 +102,8 @@ func (e *Engine) Metrics() *Metrics { return e.metrics }
 
 // MetricsSnapshot reads every engine instrument as a flat
 // name{labels} → value map: counters and gauges by value, histograms
-// as _count/_sum pairs. The CLI's `pops metrics`, the /healthz
-// metrics block and genbench's BENCH records consume it.
+// as _count/_sum pairs. The benchmark module's trace replay diffs two
+// snapshots around each task.
 func (e *Engine) MetricsSnapshot() obs.Snapshot { return e.metrics.reg.Snapshot() }
 
 // protocol returns the shared protocol instance, characterizing the
@@ -130,12 +115,9 @@ func (e *Engine) protocol() (*core.Protocol, error) {
 		return e.proto, nil
 	}
 	p, err := core.NewProtocol(core.Config{
-		Model:     e.model,
-		Limits:    e.cache.Limits(e.model),
-		Sizing:    e.cfg.Sizing,
-		STA:       e.cfg.STA,
-		MaxRounds: e.cfg.MaxRounds,
-		Recorder:  e.metrics.coreRec,
+		Model:    e.model,
+		Limits:   e.cache.Limits(e.model),
+		Recorder: e.metrics.coreRec,
 	})
 	if err != nil {
 		return nil, err
@@ -292,7 +274,7 @@ type OptimizeRequest struct {
 	Ratio float64 `json:"ratio,omitempty"`
 	// Leakage requests the leakage-aware protocol: after sizing, the
 	// selective multi-Vt pass promotes non-critical gates to higher
-	// thresholds under the engine's leakage policy.
+	// thresholds under the default leakage policy (leakage.Options{}).
 	Leakage bool `json:"leakage,omitempty"`
 
 	// parsed caches the validated Bench netlist when the caller (the
@@ -346,13 +328,13 @@ func (e *Engine) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeRe
 // holds the master's bounds (sweep points share one master).
 //
 // The whole task is memoized through the shared cache, keyed by
-// (circuit fingerprint, Tc, ratio, leakage policy): repeated
+// (circuit fingerprint, Tc, ratio, leakage flag): repeated
 // submissions of the same unit — the common case for a long-running
 // daemon, and for suite cells overlapping earlier sweeps — return the
 // completed result without recomputation. Determinism makes the memo
 // transparent: a hit is byte-identical to a fresh computation.
 func (e *Engine) optimizeTask(ctx context.Context, req OptimizeRequest, src *source, instantiate func() *netlist.Circuit, tb *core.Bounds) (*OptimizeResult, error) {
-	r, err := e.cache.Result(ctx, resultKey(e.model.Proc.Name, src.key, req, e.cfg.Leakage), func() (*OptimizeResult, error) {
+	r, err := e.cache.Result(ctx, resultKey(e.model.Proc.Name, src.key, req), func() (*OptimizeResult, error) {
 		return e.computeTask(ctx, req, src, instantiate, tb)
 	})
 	if err != nil {
@@ -409,7 +391,7 @@ func (e *Engine) computeTask(ctx context.Context, req OptimizeRequest, src *sour
 
 	var leak *leakage.Options
 	if req.Leakage {
-		leak = &e.cfg.Leakage
+		leak = &leakage.Options{}
 	}
 	// The bounds solve doubles as round 0's Tmin solve.
 	out, err := proto.Optimize(ctx, sess, tc, leak, tb)
@@ -440,7 +422,7 @@ type SweepRequest struct {
 	// most MaxSweepPoints).
 	Points int `json:"points,omitempty"`
 	// Leakage makes every point a leakage-aware run (multi-Vt
-	// assignment after sizing) under the engine's leakage policy.
+	// assignment after sizing) under the default leakage policy.
 	Leakage bool `json:"leakage,omitempty"`
 
 	// parsed caches the validated Bench netlist (see OptimizeRequest).
@@ -534,7 +516,7 @@ func (e *Engine) Sweep(ctx context.Context, req SweepRequest) (*Sweep, error) {
 		return nil, err
 	}
 	boundsStart := time.Now()
-	pa, _, err := sta.CriticalPath(master, e.model, e.cfg.STA)
+	pa, _, err := sta.CriticalPath(master, e.model, sta.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -584,7 +566,7 @@ type SuiteRequest struct {
 	// Ratios lists Tc/Tmin constraint points (default {1.2, 1.5, 2.0}).
 	Ratios []float64 `json:"ratios,omitempty"`
 	// Leakage makes every cell a leakage-aware run (multi-Vt
-	// assignment after sizing) under the engine's leakage policy.
+	// assignment after sizing) under the default leakage policy.
 	Leakage bool `json:"leakage,omitempty"`
 
 	// parsed caches the validated Benches netlists, index-aligned with

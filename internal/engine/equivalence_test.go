@@ -20,7 +20,7 @@ var equivRatios = []float64{1.1, 1.5, 2.6}
 // sequentialOutcome reproduces the pre-engine usage exactly: fresh
 // benchmark instance, critical path, Tmin from the sizing solver, then
 // core.Protocol.Optimize — no engine, no cache, no pool. leak adds the
-// default multi-Vt pass, the engine's policy under newEngine.
+// default multi-Vt pass, the one policy the engine runs.
 func sequentialOutcome(t *testing.T, name string, ratio float64, leak bool) (*core.CircuitOutcome, float64) {
 	t.Helper()
 	m := delay.NewModel(tech.CMOS025())

@@ -76,9 +76,9 @@ type storedStage struct {
 
 // storeKeyFor derives the content address of one memoized task: the
 // SHA-256 of the composite taskKey, hex-encoded. The memo key already
-// spells out (process, fingerprint, constraint, policy) collision-free;
-// hashing it yields a fixed-length string inside the store's key
-// grammar (the raw key contains '|').
+// spells out (process, fingerprint, constraint, leakage flag)
+// collision-free; hashing it yields a fixed-length string inside the
+// store's key grammar (the raw key contains '|').
 func storeKeyFor(key taskKey) string {
 	sum := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(sum[:])

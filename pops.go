@@ -121,7 +121,9 @@ type (
 	FlimitEntry = buffering.TableEntry
 	// Protocol is the configured Fig. 7 decision diagram.
 	Protocol = core.Protocol
-	// ProtocolConfig parameterizes the protocol.
+	// ProtocolConfig parameterizes the protocol: the delay model, an
+	// optional Flimit table, the round bound and a recorder. The
+	// solvers and path extraction always run their defaults.
 	ProtocolConfig = core.Config
 	// PathOutcome reports the protocol's decision on one path.
 	PathOutcome = core.PathOutcome
@@ -398,7 +400,9 @@ type (
 	// Engine is the concurrent batch optimizer: a bounded worker pool
 	// plus a shared characterization cache.
 	Engine = engine.Engine
-	// EngineConfig parameterizes NewEngine.
+	// EngineConfig parameterizes NewEngine: the worker-pool bound and
+	// an optional durable result store. Neither changes a result; the
+	// engine always runs the protocol's defaults on the CMOS025 corner.
 	EngineConfig = engine.Config
 	// OptimizeRequest is one (circuit, Tc) engine job.
 	OptimizeRequest = engine.OptimizeRequest
@@ -425,7 +429,7 @@ type (
 )
 
 // NewEngine builds a concurrent batch engine. A zero config selects
-// GOMAXPROCS workers on the default process corner. Set
+// GOMAXPROCS workers and a memory-only result memo. Set
 // EngineConfig.Results to a ResultStore to add a durable tier behind
 // the in-memory result memo (see the durability types below).
 func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }
