@@ -11,6 +11,7 @@ import (
 	"repro/internal/delay"
 	"repro/internal/iscas"
 	"repro/internal/leakage"
+	"repro/internal/netlist"
 	"repro/internal/sizing"
 	"repro/internal/sta"
 	"repro/internal/tech"
@@ -75,7 +76,10 @@ func goldenTmin(t *testing.T, m *delay.Model, name string) float64 {
 	return r.Delay
 }
 
-func computeGoldenCell(t *testing.T, p *Protocol, m *delay.Model, name string, ratio, tmin float64) goldenCell {
+// computeGoldenCell optimizes fresh instances of the named circuit at
+// ratio·tmin, plain and leakage-aware, and returns the outcome cell and
+// the two optimized circuits.
+func computeGoldenCell(t *testing.T, p *Protocol, m *delay.Model, name string, ratio, tmin float64) (goldenCell, [2]*netlist.Circuit) {
 	t.Helper()
 	tc := ratio * tmin
 	cell := goldenCell{Circuit: name, Ratio: ratio, Tc: tc}
@@ -107,7 +111,42 @@ func computeGoldenCell(t *testing.T, p *Protocol, m *delay.Model, name string, r
 	cell.Promoted = lout.Leakage.Promoted
 	cell.StaticAfterUW = lout.Leakage.StaticAfterUW
 	cell.TotalAfterUW = lout.Leakage.TotalAfterUW
-	return cell
+	return cell, [2]*netlist.Circuit{c, cl}
+}
+
+// goldenNames lists the circuits the session golden covers: the suite,
+// or with -short only the four fastest benchmarks.
+func goldenNames() []string {
+	if testing.Short() && !*updateSessionGolden {
+		return []string{"fpd", "c432", "c880", "c1355"}
+	}
+	var names []string
+	for _, s := range iscas.Suite() {
+		names = append(names, s.Name)
+	}
+	return names
+}
+
+// readSessionGolden loads the checked-in cells keyed by goldenKey.
+func readSessionGolden(t *testing.T) map[string]goldenCell {
+	t.Helper()
+	data, err := os.ReadFile(sessionGoldenPath)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update-session-golden): %v", err)
+	}
+	var want []goldenCell
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	byKey := make(map[string]goldenCell, len(want))
+	for _, cl := range want {
+		byKey[goldenKey(cl)] = cl
+	}
+	return byKey
+}
+
+func goldenKey(c goldenCell) string {
+	return c.Circuit + "@" + formatRatio(c.Ratio)
 }
 
 // TestSessionGolden pins the protocol outcomes — plain and
@@ -120,19 +159,12 @@ func TestSessionGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := []string{}
-	for _, s := range iscas.Suite() {
-		names = append(names, s.Name)
-	}
-	if testing.Short() && !*updateSessionGolden {
-		names = []string{"fpd", "c432", "c880", "c1355"}
-	}
-
 	var cells []goldenCell
-	for _, name := range names {
+	for _, name := range goldenNames() {
 		tmin := goldenTmin(t, m, name)
 		for _, ratio := range goldenRatios {
-			cells = append(cells, computeGoldenCell(t, p, m, name, ratio, tmin))
+			cell, _ := computeGoldenCell(t, p, m, name, ratio, tmin)
+			cells = append(cells, cell)
 		}
 	}
 
@@ -151,20 +183,9 @@ func TestSessionGolden(t *testing.T) {
 		return
 	}
 
-	data, err := os.ReadFile(sessionGoldenPath)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update-session-golden): %v", err)
-	}
-	var want []goldenCell
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	byKey := make(map[string]goldenCell, len(want))
-	for _, cl := range want {
-		byKey[cl.Circuit+"@"+formatRatio(cl.Ratio)] = cl
-	}
+	byKey := readSessionGolden(t)
 	for _, got := range cells {
-		key := got.Circuit + "@" + formatRatio(got.Ratio)
+		key := goldenKey(got)
 		exp, ok := byKey[key]
 		if !ok {
 			t.Errorf("%s: no golden cell recorded", key)

@@ -34,7 +34,9 @@ type bufferedGolden struct {
 	SeedSweep map[string]*SeedSweepRow `json:"seedSweep"`
 }
 
-func TestBufferedGolden(t *testing.T) {
+// computeBufferedGolden runs the recorded experiments on fpd and c432.
+func computeBufferedGolden(t *testing.T) bufferedGolden {
+	t.Helper()
 	e := env(t)
 	names := []string{"fpd", "c432"}
 	g := bufferedGolden{Fig6: map[string]*Fig6Fronts{}, SeedSweep: map[string]*SeedSweepRow{}}
@@ -53,7 +55,11 @@ func TestBufferedGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := json.MarshalIndent(g, "", "  ")
+	return g
+}
+
+func TestBufferedGolden(t *testing.T) {
+	got, err := json.MarshalIndent(computeBufferedGolden(t), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
