@@ -377,8 +377,14 @@ func DistributeWithBuffers(m *delay.Model, pa *delay.Path, tc float64, limits ma
 	// the adoption loop compares a fresh probe against the retained
 	// champion, which must not alias it.
 	opts.Workspace = &sizing.Workspace{}
-	distribute := func(q *delay.Path) (*sizing.Result, error) {
-		r, err := distributeOnce(m, q, tc, mode, opts)
+	distribute := func(q *delay.Path, aStart float64) (*sizing.Result, error) {
+		var r *sizing.Result
+		var err error
+		if mode == Global {
+			r, err = sizing.Distribute(m, q, tc, opts)
+		} else {
+			r, err = distributeFrozenBuffers(m, q, tc, opts, aStart)
+		}
 		if r != nil {
 			rv := *r
 			r = &rv
@@ -390,7 +396,7 @@ func DistributeWithBuffers(m *delay.Model, pa *delay.Path, tc float64, limits ma
 	if bestPath == nil {
 		bestPath = pa.Clone()
 		var err error
-		best, err = distribute(bestPath)
+		best, err = distribute(bestPath, 0)
 		if err != nil && !errors.Is(err, sizing.ErrInfeasible) {
 			return nil, err
 		}
@@ -414,7 +420,9 @@ func DistributeWithBuffers(m *delay.Model, pa *delay.Path, tc float64, limits ma
 			if mode == Local {
 				sizeInsertedLocally(m, trial, idx+1, opts.Workspace.PathEval())
 			}
-			r, errD := distribute(trial)
+			// A trial differs from the incumbent by one buffer, so its
+			// frozen solve starts from the incumbent's sensitivity.
+			r, errD := distribute(trial, best.A)
 			switch {
 			case errD == nil && (!feasible || r.Area < best.Area*(1-1e-9)):
 				bestPath, best, feasible = trial, r, true
@@ -447,15 +455,6 @@ func DistributeWithBuffers(m *delay.Model, pa *delay.Path, tc float64, limits ma
 			sizing.ErrInfeasible, out.Delay, tc)
 	}
 	return out, nil
-}
-
-// distributeOnce dispatches one constraint distribution according to
-// the buffer-sizing mode.
-func distributeOnce(m *delay.Model, q *delay.Path, tc float64, mode Mode, opts sizing.Options) (*sizing.Result, error) {
-	if mode == Global {
-		return sizing.Distribute(m, q, tc, opts)
-	}
-	return distributeFrozenBuffers(m, q, tc, opts)
 }
 
 // sizeInsertedLocally golden-sections the single inserted buffer at
@@ -503,7 +502,13 @@ func solveFrozen(m *delay.Model, pa *delay.Path, a float64, o sizing.Options) fl
 // optimized sizes. A few outer rounds alternate (a) golden-section
 // re-sizing of each buffer against the current neighborhood and (b) a
 // bisection on the sensitivity a with the buffers pinned.
-func distributeFrozenBuffers(m *delay.Model, pa *delay.Path, tc float64, opts sizing.Options) (*sizing.Result, error) {
+//
+// aStart is the best sensitivity the caller already knows for a nearby
+// problem (a negative a), or 0 for none. The first round's bracket
+// expansion starts at aStart/4, each later round's at a quarter of the
+// previous round's accepted a, and a cold search at −1e-4: the root
+// then lies a step or two of the ×4 expansion away instead of ~11.
+func distributeFrozenBuffers(m *delay.Model, pa *delay.Path, tc float64, opts sizing.Options, aStart float64) (*sizing.Result, error) {
 	ev := opts.Workspace.PathEval()
 	// The frozen solve's own budget: up to 120 sweeps to a 1e-10
 	// relative size change, tighter than Distribute's defaults.
@@ -524,10 +529,15 @@ func distributeFrozenBuffers(m *delay.Model, pa *delay.Path, tc float64, opts si
 			continue
 		}
 		aLo, aHi := -1e-4, 0.0
+		if aStart < 0 {
+			aLo = aStart / 4
+		}
+		// Every probe that still meets tc narrows the bracket from above.
 		for range [64]int{} {
 			if solveFrozen(m, pa, aLo, frozen) >= tc {
 				break
 			}
+			aHi = aLo
 			aLo *= 4
 		}
 		for iter := 0; iter < 70; iter++ {
@@ -540,6 +550,7 @@ func distributeFrozenBuffers(m *delay.Model, pa *delay.Path, tc float64, opts si
 		}
 		d := solveFrozen(m, pa, aHi, frozen)
 		res = &sizing.Result{Delay: d, MeanDelay: m.PathDelayMean(pa), Area: pa.Area(m.Proc), A: aHi}
+		aStart = aHi
 	}
 	if res == nil {
 		res = &sizing.Result{Delay: m.PathDelayWorst(pa), MeanDelay: m.PathDelayMean(pa), Area: pa.Area(m.Proc)}

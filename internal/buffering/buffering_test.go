@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/delay"
 	"repro/internal/gate"
+	"repro/internal/iscas"
 	"repro/internal/sizing"
+	"repro/internal/sta"
 	"repro/internal/tech"
 )
 
@@ -316,5 +318,73 @@ func TestDistributeWithBuffersPlainStart(t *testing.T) {
 	}
 	if _, err := DistributeWithBuffers(m, pa, tc, lim, Local, sizing.Options{}, Solved{Path: sized, Result: plain}); err == nil {
 		t.Fatal("Local mode accepted a plain start")
+	}
+}
+
+// warmAreaTol bounds the relative area gap between a warm and a cold
+// frozen solve of one path. It is the solver's own noise floor, not a
+// property of the warm start: the golden-section buffer size sits on a
+// flat minimum, resolved only to ~1e-7, and a cold solve whose start
+// sizes are scaled by 1+1e-12 already moves its area by up to 3.1e-9
+// on these paths (fpd@1.5). Warm and cold differ by at most 4.5e-9.
+const warmAreaTol = 1e-8
+
+// TestFrozenWarmStartMatchesCold pins the warm-start contract of the
+// frozen-buffer solve: started from the incumbent's sensitivity, as an
+// insertion trial is, it reaches the cold solve's answer to solver
+// noise. Every suite circuit's critical path at 1.2 and 1.5·Tmin gets
+// one buffer after its highest fan-out stage.
+func TestFrozenWarmStartMatchesCold(t *testing.T) {
+	m := model()
+	for _, spec := range iscas.Suite() {
+		c, err := iscas.Load(spec.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pa, _, err := sta.CriticalPath(c, m, sta.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := sizing.Tmin(m, pa.Clone(), sizing.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ratio := range []float64{1.2, 1.5} {
+			tc := ratio * rt.Delay
+			opts := sizing.Options{Workspace: &sizing.Workspace{}}
+			incumbent := pa.Clone()
+			inc, err := distributeFrozenBuffers(m, incumbent, tc, opts, 0)
+			if err != nil {
+				t.Fatalf("%s@%g: unbuffered frozen solve: %v", spec.Name, ratio, err)
+			}
+			if inc.A >= 0 {
+				t.Fatalf("%s@%g: incumbent sensitivity %g gives no warm start", spec.Name, ratio, inc.A)
+			}
+			idx, worst := 0, 0.0
+			for i := range incumbent.Stages {
+				if f := incumbent.ExternalLoadAt(i) / incumbent.Stages[i].CIn; f > worst {
+					idx, worst = i, f
+				}
+			}
+			trial, err := InsertStage(m, incumbent, idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizeInsertedLocally(m, trial, idx+1, opts.Workspace.PathEval())
+			cold, errC := distributeFrozenBuffers(m, trial.Clone(), tc, opts, 0)
+			warm, errW := distributeFrozenBuffers(m, trial.Clone(), tc, opts, inc.A)
+			if (errC == nil) != (errW == nil) {
+				t.Fatalf("%s@%g: feasibility differs: cold %v, warm %v", spec.Name, ratio, errC, errW)
+			}
+			if errW != nil {
+				continue
+			}
+			if d := math.Abs(warm.Area-cold.Area) / cold.Area; d > warmAreaTol {
+				t.Errorf("%s@%g: warm area %.12g vs cold %.12g (relative %.2e)", spec.Name, ratio, warm.Area, cold.Area, d)
+			}
+			if warm.Delay > tc*(1+1e-6) {
+				t.Errorf("%s@%g: warm delay %.9g misses Tc %.9g", spec.Name, ratio, warm.Delay, tc)
+			}
+		}
 	}
 }
