@@ -27,13 +27,13 @@ func (e *Env) AblationSlope(name string) (*AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := sizing.Tmin(e.Model, pa.Clone(), e.Sizing)
+	base, err := sizing.Tmin(e.Model, pa.Clone(), sizing.Options{})
 	if err != nil {
 		return nil, err
 	}
 	ablated := delay.NewModel(e.Proc)
 	ablated.SlopeEffect = false
-	ab, err := sizing.Tmin(ablated, pa.Clone(), e.Sizing)
+	ab, err := sizing.Tmin(ablated, pa.Clone(), sizing.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -51,13 +51,13 @@ func (e *Env) AblationMiller(name string) (*AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := sizing.Tmin(e.Model, pa.Clone(), e.Sizing)
+	base, err := sizing.Tmin(e.Model, pa.Clone(), sizing.Options{})
 	if err != nil {
 		return nil, err
 	}
 	ablated := delay.NewModel(e.Proc)
 	ablated.CoupleMiller = false
-	ab, err := sizing.Tmin(ablated, pa.Clone(), e.Sizing)
+	ab, err := sizing.Tmin(ablated, pa.Clone(), sizing.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -81,16 +81,16 @@ func (e *Env) AblationSutherland(name string, ratios []float64) ([]AblationRow, 
 		if err != nil {
 			return nil, err
 		}
-		rt, err := sizing.Tmin(e.Model, pa.Clone(), e.Sizing)
+		rt, err := sizing.Tmin(e.Model, pa.Clone(), sizing.Options{})
 		if err != nil {
 			return nil, err
 		}
 		tc := ratio * rt.Delay
-		cs, err := sizing.Distribute(e.Model, pa.Clone(), tc, e.Sizing)
+		cs, err := sizing.Distribute(e.Model, pa.Clone(), tc, sizing.Options{})
 		if err != nil {
 			return nil, err
 		}
-		su, err := sizing.SutherlandDistribute(e.Model, pa.Clone(), tc, e.Sizing)
+		su, err := sizing.SutherlandDistribute(e.Model, pa.Clone(), tc, sizing.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -123,14 +123,14 @@ func (e *Env) AblationSeeding(name string) (*AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := sizing.Tmin(e.Model, pa.Clone(), e.Sizing)
+	base, err := sizing.Tmin(e.Model, pa.Clone(), sizing.Options{})
 	if err != nil {
 		return nil, err
 	}
 	proc2 := e.Proc.Clone()
 	proc2.CRef /= 5
 	m2 := delay.NewModel(proc2)
-	alt, err := sizing.Tmin(m2, pa.Clone(), e.Sizing)
+	alt, err := sizing.Tmin(m2, pa.Clone(), sizing.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +151,7 @@ func (e *Env) AblationLogicalEffort(name string) (*AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt, err := sizing.Tmin(e.Model, pa.Clone(), e.Sizing)
+	rt, err := sizing.Tmin(e.Model, pa.Clone(), sizing.Options{})
 	if err != nil {
 		return nil, err
 	}

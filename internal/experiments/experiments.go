@@ -36,8 +36,6 @@ type Env struct {
 	Model  *delay.Model
 	Sim    *spice.Simulator
 	Limits map[gate.Type]float64
-	Sizing sizing.Options
-	STA    sta.Config
 }
 
 // NewEnv builds the default experiment environment on the calibrated
@@ -76,7 +74,7 @@ func (e *Env) criticalPath(name string) (*delay.Path, *netlist.Circuit, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	pa, _, err := sta.CriticalPath(c, e.Model, e.STA)
+	pa, _, err := sta.CriticalPath(c, e.Model, sta.Config{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -99,7 +97,7 @@ func (e *Env) Fig1(name string) (points []Fig1Point, tmax, tmin float64, err err
 		return nil, 0, 0, err
 	}
 	tmax = sizing.Tmax(e.Model, pa.Clone())
-	r, err := sizing.Tmin(e.Model, pa, e.Sizing)
+	r, err := sizing.Tmin(e.Model, pa, sizing.Options{})
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -145,7 +143,7 @@ func (e *Env) Fig2(names []string) ([]Fig2Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		pops, err := sizing.Tmin(e.Model, pa.Clone(), e.Sizing)
+		pops, err := sizing.Tmin(e.Model, pa.Clone(), sizing.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -192,7 +190,7 @@ func (e *Env) Fig3(name string, as []float64) ([]Fig3Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := sizing.AtSensitivity(e.Model, pa, a, e.Sizing)
+		r, err := sizing.AtSensitivity(e.Model, pa, a, sizing.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -240,12 +238,12 @@ func (e *Env) Fig4(names []string, ratio float64) ([]Fig4Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rt, err := sizing.Tmin(e.Model, pa.Clone(), e.Sizing)
+		rt, err := sizing.Tmin(e.Model, pa.Clone(), sizing.Options{})
 		if err != nil {
 			return nil, err
 		}
 		tc := ratio * rt.Delay
-		pops, err := sizing.Distribute(e.Model, pa.Clone(), tc, e.Sizing)
+		pops, err := sizing.Distribute(e.Model, pa.Clone(), tc, sizing.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -294,7 +292,7 @@ func (e *Env) Table1(names []string) ([]Table1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rt, err := sizing.Tmin(e.Model, pa.Clone(), e.Sizing)
+		rt, err := sizing.Tmin(e.Model, pa.Clone(), sizing.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -302,7 +300,7 @@ func (e *Env) Table1(names []string) ([]Table1Row, error) {
 
 		popsPath := pa.Clone()
 		t0 := time.Now()
-		if _, err := sizing.Distribute(e.Model, popsPath, tc, e.Sizing); err != nil {
+		if _, err := sizing.Distribute(e.Model, popsPath, tc, sizing.Options{}); err != nil {
 			return nil, err
 		}
 		popsTime := time.Since(t0)
@@ -419,11 +417,11 @@ func (e *Env) Table3(names []string) ([]Table3Row, error) {
 			return nil, err
 		}
 		sized := pa.Clone()
-		plain, err := sizing.Tmin(e.Model, sized, e.Sizing)
+		plain, err := sizing.Tmin(e.Model, sized, sizing.Options{})
 		if err != nil {
 			return nil, err
 		}
-		buf, err := buffering.MinDelayWithBuffers(e.Model, pa, buffering.Solved{Path: sized, Result: plain}, e.Limits, e.Sizing)
+		buf, err := buffering.MinDelayWithBuffers(e.Model, pa, buffering.Solved{Path: sized, Result: plain}, e.Limits, sizing.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -473,13 +471,13 @@ func (e *Env) Fig6(name string) (*Fig6Fronts, error) {
 	fronts := &Fig6Fronts{}
 
 	sized := pa.Clone()
-	rt, err := sizing.Tmin(e.Model, sized, e.Sizing)
+	rt, err := sizing.Tmin(e.Model, sized, sizing.Options{})
 	if err != nil {
 		return nil, err
 	}
 	fronts.Tmin = rt.Delay
 
-	buf, err := buffering.MinDelayWithBuffers(e.Model, pa, buffering.Solved{Path: sized, Result: rt}, e.Limits, e.Sizing)
+	buf, err := buffering.MinDelayWithBuffers(e.Model, pa, buffering.Solved{Path: sized, Result: rt}, e.Limits, sizing.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -487,14 +485,14 @@ func (e *Env) Fig6(name string) (*Fig6Fronts, error) {
 
 	for _, a := range as {
 		plain := pa.Clone()
-		r, err := sizing.AtSensitivity(e.Model, plain, a, e.Sizing)
+		r, err := sizing.AtSensitivity(e.Model, plain, a, sizing.Options{})
 		if err != nil {
 			return nil, err
 		}
 		fronts.Sizing = append(fronts.Sizing, Fig3Point{A: a, Delay: r.Delay, Area: r.Area})
 
 		buffered := buf.Path.Clone()
-		rb, err := sizing.AtSensitivity(e.Model, buffered, a, e.Sizing)
+		rb, err := sizing.AtSensitivity(e.Model, buffered, a, sizing.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -557,7 +555,7 @@ func (e *Env) Fig8(names []string) ([]Fig8Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rt, err := sizing.Tmin(e.Model, pa.Clone(), e.Sizing)
+		rt, err := sizing.Tmin(e.Model, pa.Clone(), sizing.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -568,14 +566,14 @@ func (e *Env) Fig8(names []string) ([]Fig8Row, error) {
 			// The plain distribution doubles as Global mode's start.
 			var plain buffering.Solved
 			sized := pa.Clone()
-			if r, err := sizing.Distribute(e.Model, sized, tc, e.Sizing); err == nil {
+			if r, err := sizing.Distribute(e.Model, sized, tc, sizing.Options{}); err == nil {
 				row.Sizing, row.SizingOK = r.Area, true
 				plain = buffering.Solved{Path: sized, Result: r}
 			}
-			if r, err := buffering.DistributeWithBuffers(e.Model, pa, tc, e.Limits, buffering.Local, e.Sizing, buffering.Solved{}); err == nil {
+			if r, err := buffering.DistributeWithBuffers(e.Model, pa, tc, e.Limits, buffering.Local, sizing.Options{}, buffering.Solved{}); err == nil {
 				row.LocalB, row.LocalOK = r.Area, true
 			}
-			if r, err := buffering.DistributeWithBuffers(e.Model, pa, tc, e.Limits, buffering.Global, e.Sizing, plain); err == nil {
+			if r, err := buffering.DistributeWithBuffers(e.Model, pa, tc, e.Limits, buffering.Global, sizing.Options{}, plain); err == nil {
 				row.GlobalB, row.GlobOK = r.Area, true
 			}
 			rows = append(rows, row)
@@ -660,20 +658,20 @@ func (e *Env) table4One(name, domain string, ratio float64) (*Table4Row, error) 
 	if err != nil {
 		return nil, err
 	}
-	rt, err := sizing.Tmin(e.Model, pa.Clone(), e.Sizing)
+	rt, err := sizing.Tmin(e.Model, pa.Clone(), sizing.Options{})
 	if err != nil {
 		return nil, err
 	}
 	tc := ratio * rt.Delay
 
 	// Flow A: buffer insertion (+ global sizing).
-	buf, errBuf := buffering.DistributeWithBuffers(e.Model, pa, tc, e.Limits, buffering.Global, e.Sizing, buffering.Solved{})
+	buf, errBuf := buffering.DistributeWithBuffers(e.Model, pa, tc, e.Limits, buffering.Global, sizing.Options{}, buffering.Solved{})
 	buffArea := 0.0
 	if errBuf == nil {
 		buffArea = buf.Area
 	} else {
 		// Fall back to plain sizing if no buffers were warranted.
-		r, err := sizing.Distribute(e.Model, pa.Clone(), tc, e.Sizing)
+		r, err := sizing.Distribute(e.Model, pa.Clone(), tc, sizing.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -690,7 +688,7 @@ func (e *Env) table4One(name, domain string, ratio float64) (*Table4Row, error) 
 		before[n.Name] = true
 	}
 	sized := pa.Clone()
-	if _, err := sizing.Distribute(e.Model, sized, tc, e.Sizing); err != nil {
+	if _, err := sizing.Distribute(e.Model, sized, tc, sizing.Options{}); err != nil {
 		// Infeasible by sizing: detect on the Tmin configuration the
 		// failed Distribute leaves behind.
 		_ = err
@@ -708,13 +706,13 @@ func (e *Env) table4One(name, domain string, ratio float64) (*Table4Row, error) 
 	}
 	rep.Collapsed = collapsed
 
-	pa2, _, err := sta.CriticalPath(c, e.Model, e.STA)
+	pa2, _, err := sta.CriticalPath(c, e.Model, sta.Config{})
 	if err != nil {
 		return nil, err
 	}
 	// The rewrite replaces the inefficient gate; the rest of the path
 	// keeps the full protocol toolbox (buffers where still warranted).
-	b2, err2 := buffering.DistributeWithBuffers(e.Model, pa2, tc, e.Limits, buffering.Global, e.Sizing, buffering.Solved{})
+	b2, err2 := buffering.DistributeWithBuffers(e.Model, pa2, tc, e.Limits, buffering.Global, sizing.Options{}, buffering.Solved{})
 	if err2 != nil && b2 == nil {
 		return nil, fmt.Errorf("table4 %s/%s: buffered re-optimization: %v", name, domain, err2)
 	}

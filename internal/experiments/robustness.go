@@ -56,15 +56,15 @@ func (e *Env) WireUncertainty(names []string, spread float64, seeds int) ([]Wire
 					return 0, 0, err
 				}
 			}
-			pa, _, err := sta.CriticalPath(c, e.Model, e.STA)
+			pa, _, err := sta.CriticalPath(c, e.Model, sta.Config{})
 			if err != nil {
 				return 0, 0, err
 			}
-			r, err := sizing.Tmin(e.Model, pa.Clone(), e.Sizing)
+			r, err := sizing.Tmin(e.Model, pa.Clone(), sizing.Options{})
 			if err != nil {
 				return 0, 0, err
 			}
-			d, err := sizing.Distribute(e.Model, pa, 1.3*r.Delay, e.Sizing)
+			d, err := sizing.Distribute(e.Model, pa, 1.3*r.Delay, sizing.Options{})
 			if err != nil {
 				return 0, 0, err
 			}
@@ -138,16 +138,16 @@ func (e *Env) SeedSweep(name string, seeds int) (*SeedSweepRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		pa, _, err := sta.CriticalPath(c, e.Model, e.STA)
+		pa, _, err := sta.CriticalPath(c, e.Model, sta.Config{})
 		if err != nil {
 			return nil, err
 		}
 		sized := pa.Clone()
-		plain, err := sizing.Tmin(e.Model, sized, e.Sizing)
+		plain, err := sizing.Tmin(e.Model, sized, sizing.Options{})
 		if err != nil {
 			return nil, err
 		}
-		buf, err := buffering.MinDelayWithBuffers(e.Model, pa, buffering.Solved{Path: sized, Result: plain}, e.Limits, e.Sizing)
+		buf, err := buffering.MinDelayWithBuffers(e.Model, pa, buffering.Solved{Path: sized, Result: plain}, e.Limits, sizing.Options{})
 		if err != nil {
 			return nil, err
 		}

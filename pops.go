@@ -115,8 +115,6 @@ type (
 	GateType = gate.Type
 	// SizingResult reports a sizing run.
 	SizingResult = sizing.Result
-	// SizingOptions tunes the sizing solvers.
-	SizingOptions = sizing.Options
 	// FlimitEntry is one row of the library characterization.
 	FlimitEntry = buffering.TableEntry
 	// Protocol is the configured Fig. 7 decision diagram.
@@ -133,8 +131,6 @@ type (
 	Domain = core.Domain
 	// Simulator is the transistor-level transient simulator.
 	Simulator = spice.Simulator
-	// STAConfig parameterizes timing analysis.
-	STAConfig = sta.Config
 	// STAResult is a timing-analysis outcome.
 	STAResult = sta.Result
 	// TimingSession is a reusable incremental-STA view of one circuit:
