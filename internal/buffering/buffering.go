@@ -377,9 +377,7 @@ func DistributeWithBuffers(m *delay.Model, pa *delay.Path, tc float64, limits ma
 	// the adoption loop compares a fresh probe against the retained
 	// champion, which must not alias it.
 	opts.Workspace = &sizing.Workspace{}
-	distribute := func(q *delay.Path, aStart float64) (*sizing.Result, error) {
-		var r *sizing.Result
-		var err error
+	distribute := func(q *delay.Path, aStart float64) (r *sizing.Result, err error) {
 		if mode == Global {
 			r, err = sizing.Distribute(m, q, tc, opts)
 		} else {
@@ -503,11 +501,10 @@ func solveFrozen(m *delay.Model, pa *delay.Path, a float64, o sizing.Options) fl
 // re-sizing of each buffer against the current neighborhood and (b) a
 // bisection on the sensitivity a with the buffers pinned.
 //
-// aStart is the best sensitivity the caller already knows for a nearby
-// problem (a negative a), or 0 for none. The first round's bracket
-// expansion starts at aStart/4, each later round's at a quarter of the
-// previous round's accepted a, and a cold search at −1e-4: the root
-// then lies a step or two of the ×4 expansion away instead of ~11.
+// aStart is a known sensitivity of a nearby problem, or 0 for none.
+// Round 0's bracket expansion starts at aStart/4 (cold: −1e-4), each
+// later round's at a quarter of the previous round's accepted a: a
+// step or two of the ×4 expansion from the root instead of ~11.
 func distributeFrozenBuffers(m *delay.Model, pa *delay.Path, tc float64, opts sizing.Options, aStart float64) (*sizing.Result, error) {
 	ev := opts.Workspace.PathEval()
 	// The frozen solve's own budget: up to 120 sweeps to a 1e-10
@@ -528,10 +525,7 @@ func distributeFrozenBuffers(m *delay.Model, pa *delay.Path, tc float64, opts si
 			res = &sizing.Result{Delay: d, MeanDelay: m.PathDelayMean(pa), Area: pa.Area(m.Proc), A: 0}
 			continue
 		}
-		aLo, aHi := -1e-4, 0.0
-		if aStart < 0 {
-			aLo = aStart / 4
-		}
+		aLo, aHi := min(aStart/4, -1e-4), 0.0
 		// Every probe that still meets tc narrows the bracket from above.
 		for range [64]int{} {
 			if solveFrozen(m, pa, aLo, frozen) >= tc {
