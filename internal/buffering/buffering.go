@@ -502,9 +502,9 @@ func solveFrozen(m *delay.Model, pa *delay.Path, a float64, o sizing.Options) fl
 // bisection on the sensitivity a with the buffers pinned.
 //
 // aStart is a known sensitivity of a nearby problem, or 0 for none.
-// Round 0's bracket expansion starts at aStart/4 (cold: −1e-4), each
-// later round's at a quarter of the previous round's accepted a: a
-// step or two of the ×4 expansion from the root instead of ~11.
+// Each round's ×4 expansion starts at a quarter of the best a known
+// (aStart, then the previous round's), or at −1e-4 if that is closer
+// to 0: a step or two from the root instead of ~11.
 func distributeFrozenBuffers(m *delay.Model, pa *delay.Path, tc float64, opts sizing.Options, aStart float64) (*sizing.Result, error) {
 	ev := opts.Workspace.PathEval()
 	// The frozen solve's own budget: up to 120 sweeps to a 1e-10
