@@ -7,6 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/calib"
+	"repro/internal/tech"
 )
 
 // The buffered-vs-sizing golden: the experiment rows that run a
@@ -25,8 +28,7 @@ var updateBufferedGolden = flag.Bool("update-buffered-golden", false,
 
 const bufferedGoldenPath = "testdata/buffered_golden.json"
 
-// bufferedGolden is the recorded content. Float64 values survive the
-// JSON round trip exactly, so a byte comparison is a bit-level check.
+// bufferedGolden is the recorded content.
 type bufferedGolden struct {
 	Table3    []Table3Row              `json:"table3"`
 	Fig6      map[string]*Fig6Fronts   `json:"fig6"`
@@ -59,27 +61,75 @@ func computeBufferedGolden(t *testing.T) bufferedGolden {
 }
 
 func TestBufferedGolden(t *testing.T) {
-	got, err := json.MarshalIndent(computeBufferedGolden(t), "", "  ")
+	checkGolden(t, bufferedGoldenPath, *updateBufferedGolden, computeBufferedGolden(t))
+}
+
+// The baseline golden: Fig. 2 and Fig. 4 (the AMPS-like grid baseline
+// next to the POPS solve) on SmallBenchmarks(), and the model
+// calibration against the transistor-level simulator. No other golden
+// reaches internal/amps or internal/calib, so their numbers are pinned
+// here.
+//
+// Regenerate (only when the baseline or the calibration legitimately
+// changes):
+//
+//	go test ./internal/experiments -run TestBaselineGolden -update-baseline-golden
+
+var updateBaselineGolden = flag.Bool("update-baseline-golden", false,
+	"rewrite testdata/baseline_golden.json from the current baseline and calibration")
+
+const baselineGoldenPath = "testdata/baseline_golden.json"
+
+type baselineGolden struct {
+	Fig2  []Fig2Row     `json:"fig2"`
+	Fig4  []Fig4Row     `json:"fig4"`
+	Calib *calib.Result `json:"calib"`
+}
+
+func TestBaselineGolden(t *testing.T) {
+	e := env(t)
+	names := SmallBenchmarks()
+	var g baselineGolden
+	var err error
+	if g.Fig2, err = e.Fig2(names); err != nil {
+		t.Fatal(err)
+	}
+	if g.Fig4, err = e.Fig4(names, 1.5); err != nil {
+		t.Fatal(err)
+	}
+	if g.Calib, err = calib.Calibrate(tech.CMOS025(), nil, calib.DefaultTypes(), calib.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, baselineGoldenPath, *updateBaselineGolden, g)
+}
+
+// checkGolden marshals v and compares it byte for byte with the file
+// at path, or rewrites the file when update is set. Float64 values
+// survive the JSON round trip exactly, so a byte comparison is a
+// bit-level check.
+func checkGolden(t *testing.T, path string, update bool, v any) {
+	t.Helper()
+	got, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	got = append(got, '\n')
 
-	if *updateBufferedGolden {
-		if err := os.MkdirAll(filepath.Dir(bufferedGoldenPath), 0o755); err != nil {
+	if update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(bufferedGoldenPath, got, 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s", bufferedGoldenPath)
+		t.Logf("wrote %s", path)
 		return
 	}
-	want, err := os.ReadFile(bufferedGoldenPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run with -update-buffered-golden to record)", err)
+		t.Fatalf("%v (run with the package's -update-*-golden flag to record)", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("buffered-vs-sizing rows differ from %s:\n got: %s", bufferedGoldenPath, got)
+		t.Fatalf("rows differ from %s:\n got: %s", path, got)
 	}
 }
