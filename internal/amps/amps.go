@@ -5,8 +5,8 @@
 // The substitute models the documented character of such tools: an
 // iterative, evaluation-driven sizer over a discrete size grid —
 // a TILOS-style greedy ascent that re-evaluates the full path delay
-// for every candidate move, optionally restarted from pseudo-random
-// configurations (the "pseudo-random sizing technique" the paper
+// for every candidate move, restarted from a pseudo-random
+// configuration (the "pseudo-random sizing technique" the paper
 // mentions under Fig. 2). The consequences the paper measures emerge
 // naturally:
 //
@@ -26,46 +26,24 @@ import (
 	"repro/internal/delay"
 )
 
-// Options tunes the baseline sizer.
-type Options struct {
-	// StepRatio is the geometric spacing of the discrete size grid
-	// (default √2 ≈ 1.414, a typical drive-strength progression).
-	StepRatio float64
-	// Restarts is the number of pseudo-random restarts (default 3).
-	Restarts int
-	// MaxMoves bounds the greedy moves per restart (default 20000).
-	MaxMoves int
-	// Seed drives the pseudo-random restarts (default 1).
-	Seed int64
-	// GuardBand is the safety margin industrial flows apply against
-	// load-estimation uncertainty (paper §2: "very large safety
-	// margin resulting in oversized designs"). SizeToConstraint
-	// internally targets tc·(1−GuardBand). Default 0.12; set negative
-	// to disable.
-	GuardBand float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.StepRatio <= 1 {
-		o.StepRatio = math.Sqrt2
-	}
-	if o.Restarts <= 0 {
-		o.Restarts = 3
-	}
-	if o.MaxMoves <= 0 {
-		o.MaxMoves = 20000
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.GuardBand == 0 {
-		o.GuardBand = 0.12
-	}
-	if o.GuardBand < 0 {
-		o.GuardBand = 0
-	}
-	return o
-}
+// The baseline sizer's constants.
+const (
+	// stepRatio is the geometric spacing of the discrete size grid, a
+	// typical drive-strength progression.
+	stepRatio = math.Sqrt2
+	// restarts is the number of greedy runs: a deterministic cold start
+	// at minimum drive, then pseudo-random starts.
+	restarts = 2
+	// maxMoves bounds the greedy moves per restart.
+	maxMoves = 20000
+	// seed drives the pseudo-random restarts.
+	seed = 1
+	// guardBand is the safety margin industrial flows apply against
+	// load-estimation uncertainty (paper §2: "very large safety margin
+	// resulting in oversized designs"). SizeToConstraint internally
+	// targets tc·(1−guardBand).
+	guardBand = 0.12
+)
 
 // Result reports a baseline sizing run.
 type Result struct {
@@ -122,8 +100,8 @@ const (
 // start, repeatedly apply the single up/down move that most reduces the
 // worst-edge delay, until no move helps. The best configuration over
 // all restarts is left applied to the path.
-func MinimizeDelay(m *delay.Model, pa *delay.Path, opts Options) (*Result, error) {
-	return run(m, pa, opts, func(d, a, bestD, bestA float64) bool {
+func MinimizeDelay(m *delay.Model, pa *delay.Path) (*Result, error) {
+	return run(m, pa, func(d, a, bestD, bestA float64) bool {
 		return d < bestD*(1-1e-12)
 	}, math.Inf(1), modeMinDelay)
 }
@@ -132,10 +110,9 @@ func MinimizeDelay(m *delay.Model, pa *delay.Path, opts Options) (*Result, error
 // low area: greedy delay descent until the guard-banded target is met,
 // then a bounded area-trim pass among moves that keep it met. Returns
 // an error (with the best-effort result) when the grid cannot reach tc.
-func SizeToConstraint(m *delay.Model, pa *delay.Path, tc float64, opts Options) (*Result, error) {
-	o := opts.withDefaults()
-	target := tc * (1 - o.GuardBand)
-	res, err := run(m, pa, o, func(d, a, bestD, bestA float64) bool {
+func SizeToConstraint(m *delay.Model, pa *delay.Path, tc float64) (*Result, error) {
+	target := tc * (1 - guardBand)
+	res, err := run(m, pa, func(d, a, bestD, bestA float64) bool {
 		// Prefer feasibility (against the banded target), then area.
 		bestFeasible := bestD <= target
 		feasible := d <= target
@@ -160,14 +137,13 @@ func SizeToConstraint(m *delay.Model, pa *delay.Path, tc float64, opts Options) 
 // defines the acceptance order on (delay, area); in constraint mode tc
 // separates the descent phase from the trim phase, in min-delay mode
 // every move is a pure delay descent.
-func run(m *delay.Model, pa *delay.Path, opts Options, better func(d, a, bestD, bestA float64) bool, tc float64, md mode) (*Result, error) {
-	o := opts.withDefaults()
+func run(m *delay.Model, pa *delay.Path, better func(d, a, bestD, bestA float64) bool, tc float64, md mode) (*Result, error) {
 	if err := pa.Validate(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	g := newGrid(m.Proc.CRef, m.Proc.CMax, o.StepRatio)
-	rng := rand.New(rand.NewSource(o.Seed))
+	g := newGrid(m.Proc.CRef, m.Proc.CMax, stepRatio)
+	rng := rand.New(rand.NewSource(seed))
 	n := len(pa.Stages)
 
 	evals := 0
@@ -182,7 +158,7 @@ func run(m *delay.Model, pa *delay.Path, opts Options, better func(d, a, bestD, 
 	bestA := math.Inf(1)
 	totalMoves := 0
 
-	for r := 0; r < o.Restarts; r++ {
+	for r := 0; r < restarts; r++ {
 		st := state{idx: make([]int, n)}
 		if r == 0 {
 			// Deterministic cold start at minimum drive.
@@ -205,7 +181,7 @@ func run(m *delay.Model, pa *delay.Path, opts Options, better func(d, a, bestD, 
 		// method — see EXPERIMENTS.md.
 		trimBudget := n
 
-		for move := 0; move < o.MaxMoves; move++ {
+		for move := 0; move < maxMoves; move++ {
 			type cand struct {
 				stage, dir int
 				d, a       float64

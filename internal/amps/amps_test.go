@@ -34,7 +34,7 @@ func TestMinimizeDelayConvergesAbovePOPS(t *testing.T) {
 		t.Fatal(err)
 	}
 	pa := mkPath(m.Proc)
-	rAmps, err := MinimizeDelay(m, pa, Options{Restarts: 2})
+	rAmps, err := MinimizeDelay(m, pa)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestSizeToConstraintMeetsTc(t *testing.T) {
 	rPops, _ := sizing.Tmin(m, ref, sizing.Options{})
 	tc := 1.4 * rPops.Delay
 	pa := mkPath(m.Proc)
-	res, err := SizeToConstraint(m, pa, tc, Options{})
+	res, err := SizeToConstraint(m, pa, tc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSizeToConstraintCostsMoreThanPOPS(t *testing.T) {
 		t.Fatal(err)
 	}
 	ampsPath := mkPath(m.Proc)
-	rAmps, err := SizeToConstraint(m, ampsPath, tc, Options{})
+	rAmps, err := SizeToConstraint(m, ampsPath, tc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSizeToConstraintCostsMoreThanPOPS(t *testing.T) {
 func TestSizeToConstraintUnreachable(t *testing.T) {
 	m := model()
 	pa := mkPath(m.Proc)
-	res, err := SizeToConstraint(m, pa, 1, Options{Restarts: 1}) // 1 ps: impossible
+	res, err := SizeToConstraint(m, pa, 1) // 1 ps: impossible
 	if err == nil {
 		t.Fatal("impossible constraint accepted")
 	}
@@ -111,11 +111,11 @@ func TestDeterministicWithSeed(t *testing.T) {
 	m := model()
 	a := mkPath(m.Proc)
 	b := mkPath(m.Proc)
-	ra, err := MinimizeDelay(m, a, Options{Seed: 42, Restarts: 2})
+	ra, err := MinimizeDelay(m, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := MinimizeDelay(m, b, Options{Seed: 42, Restarts: 2})
+	rb, err := MinimizeDelay(m, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,25 +124,8 @@ func TestDeterministicWithSeed(t *testing.T) {
 	}
 }
 
-func TestRestartsCanOnlyHelp(t *testing.T) {
-	m := model()
-	one := mkPath(m.Proc)
-	many := mkPath(m.Proc)
-	r1, err := MinimizeDelay(m, one, Options{Restarts: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r4, err := MinimizeDelay(m, many, Options{Restarts: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r4.Delay > r1.Delay*(1+1e-9) {
-		t.Fatalf("more restarts made it worse: %g vs %g", r4.Delay, r1.Delay)
-	}
-}
-
 func TestGrid(t *testing.T) {
-	g := newGrid(1.7, 1700, math.Sqrt2)
+	g := newGrid(1.7, 1700, stepRatio)
 	if g.sizes[0] != 1.7 {
 		t.Fatal("grid must start at CREF")
 	}
@@ -162,7 +145,7 @@ func TestGrid(t *testing.T) {
 func TestRunRejectsInvalidPath(t *testing.T) {
 	m := model()
 	pa := &delay.Path{Name: "bad"}
-	if _, err := MinimizeDelay(m, pa, Options{}); err == nil {
+	if _, err := MinimizeDelay(m, pa); err == nil {
 		t.Fatal("invalid path accepted")
 	}
 }
@@ -176,7 +159,7 @@ func TestCPUGapAgainstPOPS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rAmps, err := MinimizeDelay(m, pa, Options{Restarts: 2})
+	rAmps, err := MinimizeDelay(m, pa)
 	if err != nil {
 		t.Fatal(err)
 	}

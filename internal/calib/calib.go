@@ -40,30 +40,11 @@ type Result struct {
 	LibraryRMS float64
 }
 
-// Options tunes the characterization sweeps.
-type Options struct {
-	// GateCIn is the characterized stage's input capacitance (fF);
-	// zero selects 8×CREF.
-	GateCIn float64
-	// LoadsF are the two external fan-out points of the sweep
-	// (defaults 3 and 9).
-	LoadsF [2]float64
-}
-
-func (o Options) withDefaults(p *tech.Process) Options {
-	if o.GateCIn <= 0 {
-		o.GateCIn = 8 * p.CRef
-	}
-	if o.LoadsF[0] <= 0 || o.LoadsF[1] <= o.LoadsF[0] {
-		o.LoadsF = [2]float64{3, 9}
-	}
-	return o
-}
-
 // measureSlopes simulates a two-stage chain (reference inverter →
-// gate) under the two loads and returns the gate's per-edge transition
-// slopes S_HL and S_LH (dimensionless, in units of τ).
-func measureSlopes(sim *spice.Simulator, p *tech.Process, gt gate.Type, o Options) (sHL, sLH float64, err error) {
+// gate, the gate at 8×CREF) under external fan-outs of 3 and 9 and
+// returns the gate's per-edge transition slopes S_HL and S_LH
+// (dimensionless, in units of τ).
+func measureSlopes(sim *spice.Simulator, p *tech.Process, gt gate.Type) (sHL, sLH float64, err error) {
 	cell, err := gate.Lookup(gt)
 	if err != nil {
 		return 0, 0, err
@@ -72,14 +53,16 @@ func measureSlopes(sim *spice.Simulator, p *tech.Process, gt gate.Type, o Option
 		return 0, 0, fmt.Errorf("calib: %v is not an inverting primitive", gt)
 	}
 	inv := gate.MustLookup(gate.Inv)
+	cin := 8 * p.CRef
+	loads := [2]float64{3, 9}
 	tau := make(map[bool][2]float64) // gate output edge rising? → taus at the two loads
-	for li, f := range o.LoadsF {
+	for li, f := range loads {
 		pa := &delay.Path{
 			Name:  fmt.Sprintf("calib/%v/F%.0f", gt, f),
 			TauIn: delay.DefaultTauIn(p),
 			Stages: []delay.Stage{
 				{Cell: inv, CIn: 4 * p.CRef, COff: 0},
-				{Cell: cell, CIn: o.GateCIn, COff: f * o.GateCIn},
+				{Cell: cell, CIn: cin, COff: f * cin},
 			},
 		}
 		for _, risingInput := range []bool{true, false} {
@@ -94,10 +77,10 @@ func measureSlopes(sim *spice.Simulator, p *tech.Process, gt gate.Type, o Option
 			tau[gateRising] = t
 		}
 	}
-	dCL := (o.LoadsF[1] - o.LoadsF[0]) * o.GateCIn
+	dCL := (loads[1] - loads[0]) * cin
 	// τ = S·τ_proc·C_L/C_IN  ⇒  S = C_IN·Δτ/(τ_proc·ΔC_L).
-	sHL = o.GateCIn * (tau[false][1] - tau[false][0]) / (p.Tau * dCL)
-	sLH = o.GateCIn * (tau[true][1] - tau[true][0]) / (p.Tau * dCL)
+	sHL = cin * (tau[false][1] - tau[false][0]) / (p.Tau * dCL)
+	sLH = cin * (tau[true][1] - tau[true][0]) / (p.Tau * dCL)
 	if sHL <= 0 || sLH <= 0 {
 		return 0, 0, fmt.Errorf("calib: non-positive slope for %v (%g, %g)", gt, sHL, sLH)
 	}
@@ -106,18 +89,17 @@ func measureSlopes(sim *spice.Simulator, p *tech.Process, gt gate.Type, o Option
 
 // Calibrate fits S0 and the logical weights of the given inverting
 // primitives (INV is always included: it anchors S0).
-func Calibrate(p *tech.Process, sim *spice.Simulator, types []gate.Type, opts Options) (*Result, error) {
+func Calibrate(p *tech.Process, sim *spice.Simulator, types []gate.Type) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	o := opts.withDefaults(p)
 	if sim == nil {
 		sim = spice.New(p)
 	}
 
 	// Anchor: the inverter's weights are 1 by definition, so its two
 	// edges give two independent S0 estimates; average them.
-	invHL, invLH, err := measureSlopes(sim, p, gate.Inv, o)
+	invHL, invLH, err := measureSlopes(sim, p, gate.Inv)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +134,7 @@ func Calibrate(p *tech.Process, sim *spice.Simulator, types []gate.Type, opts Op
 			continue
 		}
 		seen[gt] = true
-		sHL, sLH, err := measureSlopes(sim, p, gt, o)
+		sHL, sLH, err := measureSlopes(sim, p, gt)
 		if err != nil {
 			return nil, err
 		}

@@ -11,7 +11,7 @@ import (
 
 func TestCalibrateInverterAnchors(t *testing.T) {
 	p := tech.CMOS025()
-	res, err := Calibrate(p, nil, nil, Options{})
+	res, err := Calibrate(p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestCalibrateS0NearLibrary(t *testing.T) {
 	// library's S0 — the simulator was calibrated to the model at
 	// path level, so they cannot be wildly apart.
 	p := tech.CMOS025()
-	res, err := Calibrate(p, nil, nil, Options{})
+	res, err := Calibrate(p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestCalibrateStackWeightsOrdered(t *testing.T) {
 	// DW_HL(nand3) > DW_HL(nand2) > DW_HL(inv)≈1, and mirrored for
 	// NOR on the rising edge.
 	p := tech.CMOS025()
-	res, err := Calibrate(p, nil, []gate.Type{gate.Nand2, gate.Nand3, gate.Nor2, gate.Nor3}, Options{})
+	res, err := Calibrate(p, nil, []gate.Type{gate.Nand2, gate.Nand3, gate.Nor2, gate.Nor3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestCalibrateMatchesLibraryWithin(t *testing.T) {
 	// transistor simulator agree to a reasonable RMS — the same
 	// validation the paper performs against HSPICE.
 	p := tech.CMOS025()
-	res, err := Calibrate(p, nil, DefaultTypes(), Options{})
+	res, err := Calibrate(p, nil, DefaultTypes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +83,10 @@ func TestCalibrateMatchesLibraryWithin(t *testing.T) {
 
 func TestCalibrateRejectsNonInverting(t *testing.T) {
 	p := tech.CMOS025()
-	if _, err := Calibrate(p, nil, []gate.Type{gate.Buf}, Options{}); err == nil {
+	if _, err := Calibrate(p, nil, []gate.Type{gate.Buf}); err == nil {
 		t.Fatal("BUF accepted for calibration")
 	}
-	if _, err := Calibrate(p, nil, []gate.Type{gate.And2}, Options{}); err == nil {
+	if _, err := Calibrate(p, nil, []gate.Type{gate.And2}); err == nil {
 		t.Fatal("composite accepted for calibration")
 	}
 }
@@ -94,11 +94,11 @@ func TestCalibrateRejectsNonInverting(t *testing.T) {
 func TestCalibrateDeterministic(t *testing.T) {
 	p := tech.CMOS025()
 	sim := spice.New(p)
-	a, err := Calibrate(p, sim, []gate.Type{gate.Nand2}, Options{})
+	a, err := Calibrate(p, sim, []gate.Type{gate.Nand2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Calibrate(p, sim, []gate.Type{gate.Nand2}, Options{})
+	b, err := Calibrate(p, sim, []gate.Type{gate.Nand2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestCalibrateDeterministic(t *testing.T) {
 func TestCalibrateBadCorner(t *testing.T) {
 	p := tech.CMOS025()
 	p.Tau = -1
-	if _, err := Calibrate(p, nil, nil, Options{}); err == nil {
+	if _, err := Calibrate(p, nil, nil); err == nil {
 		t.Fatal("invalid corner accepted")
 	}
 }

@@ -578,8 +578,7 @@ func (p *Protocol) Summarize(sess *sta.Session, out *CircuitOutcome) error {
 // are promoted to higher-threshold devices, each move verified by
 // incremental STA against Tc. The outcome's Delay and Feasible then
 // reflect the final Vt-aware timing and its Leakage field carries the
-// power breakdown. A zero *leak is the default policy; leak.STA is
-// ignored (the session's configuration governs the slopes).
+// power breakdown. A zero *leak is the default policy.
 //
 // The loop owns a step workspace, so a steady-state size-only round
 // performs no heap allocation; only the retained per-round PathOutcome

@@ -147,7 +147,7 @@ func (e *Env) Fig2(names []string) ([]Fig2Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		baseline, err := amps.MinimizeDelay(e.Model, pa.Clone(), amps.Options{Restarts: 2})
+		baseline, err := amps.MinimizeDelay(e.Model, pa.Clone())
 		if err != nil {
 			return nil, err
 		}
@@ -247,7 +247,7 @@ func (e *Env) Fig4(names []string, ratio float64) ([]Fig4Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		baseline, err := amps.SizeToConstraint(e.Model, pa.Clone(), tc, amps.Options{Restarts: 2})
+		baseline, err := amps.SizeToConstraint(e.Model, pa.Clone(), tc)
 		if err != nil {
 			// The grid may not reach very tight constraints; report
 			// its best effort.
@@ -307,7 +307,7 @@ func (e *Env) Table1(names []string) ([]Table1Row, error) {
 
 		ampsPath := pa.Clone()
 		t1 := time.Now()
-		res, err := amps.SizeToConstraint(e.Model, ampsPath, tc, amps.Options{Restarts: 2})
+		res, err := amps.SizeToConstraint(e.Model, ampsPath, tc)
 		if err != nil && res == nil {
 			return nil, err
 		}

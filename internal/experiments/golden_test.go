@@ -97,7 +97,7 @@ func TestBaselineGolden(t *testing.T) {
 	if g.Fig4, err = e.Fig4(names, 1.5); err != nil {
 		t.Fatal(err)
 	}
-	if g.Calib, err = calib.Calibrate(tech.CMOS025(), nil, calib.DefaultTypes(), calib.Options{}); err != nil {
+	if g.Calib, err = calib.Calibrate(tech.CMOS025(), nil, calib.DefaultTypes()); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, baselineGoldenPath, *updateBaselineGolden, g)

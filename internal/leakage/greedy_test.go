@@ -24,10 +24,6 @@ import (
 // a second one. The group-tested pass must reach exactly its decisions.
 func assignOneAtATime(sess *sta.Session, tc float64, opts leakage.Options) (*leakage.Result, error) {
 	c, m := sess.Circuit(), sess.Model()
-	maxClass := tech.HVT
-	if opts.CapAtSVT {
-		maxClass = tech.SVT
-	}
 	res, err := sess.Analyze()
 	if err != nil {
 		return nil, err
@@ -50,7 +46,7 @@ func assignOneAtATime(sess *sta.Session, tc float64, opts leakage.Options) (*lea
 	}
 	var cands []cand
 	for _, n := range c.Nodes {
-		if !n.IsLogic() || n.Vt.Rank() >= maxClass.Rank() {
+		if !n.IsLogic() || n.Vt.Rank() >= tech.HVT.Rank() {
 			continue
 		}
 		if sl := slacks.Slack(n); sl > 0 {
@@ -63,14 +59,13 @@ func assignOneAtATime(sess *sta.Session, tc float64, opts leakage.Options) (*lea
 		}
 		return cands[i].n.ID < cands[j].n.ID
 	})
-	capped := func(promoted int) bool { return opts.MaxPromotions > 0 && promoted >= opts.MaxPromotions }
 	out := &leakage.Result{Tc: tc, Budget: budget}
 	for _, cd := range cands {
 		out.Considered++
 		n := cd.n
-		for n.Vt.Rank() < maxClass.Rank() && !capped(out.Promoted) {
+		for {
 			next, ok := n.Vt.Promote()
-			if !ok || next.Rank() > maxClass.Rank() {
+			if !ok {
 				break
 			}
 			prev := n.Vt
@@ -86,9 +81,6 @@ func assignOneAtATime(sess *sta.Session, tc float64, opts leakage.Options) (*lea
 			if _, err := res.Update(n); err != nil {
 				return nil, err
 			}
-			break
-		}
-		if capped(out.Promoted) {
 			break
 		}
 	}
@@ -197,8 +189,7 @@ func assertTimingFresh(t *testing.T, c *netlist.Circuit, m *delay.Model, res *st
 // TestGroupTestedPassMatchesOneAtATime pins the pass's core invariant:
 // the block-tested pass makes exactly the one-at-a-time greedy's
 // decisions on unsized and sized circuits, rejection-dense and
-// rejection-free constraints, LVT starts, the SVT ceiling and the
-// promotion cap.
+// rejection-free constraints and LVT starts.
 func TestGroupTestedPassMatchesOneAtATime(t *testing.T) {
 	m := delay.NewModel(tech.CMOS025())
 	var cases []greedyCase
@@ -213,14 +204,7 @@ func TestGroupTestedPassMatchesOneAtATime(t *testing.T) {
 			cases = append(cases, greedyCase{fmt.Sprintf("%s/%.2f", c.Name, ratio), c, m, ratio * worst, leakage.Options{}})
 		}
 		lvt := presetLVT(c, int64(gates))
-		cases = append(cases,
-			greedyCase{c.Name + "/lvt", lvt, m, 1.05 * worst, leakage.Options{}},
-			greedyCase{c.Name + "/lvt/svt-cap", lvt, m, 1.05 * worst, leakage.Options{CapAtSVT: true}})
-		for _, limit := range []int{1, 3, 100} {
-			cases = append(cases,
-				greedyCase{fmt.Sprintf("%s/max%d", c.Name, limit), c, m, 1.05 * worst, leakage.Options{MaxPromotions: limit}},
-				greedyCase{fmt.Sprintf("%s/lvt/max%d", c.Name, limit), lvt, m, 1.05 * worst, leakage.Options{MaxPromotions: limit}})
-		}
+		cases = append(cases, greedyCase{c.Name + "/lvt", lvt, m, 1.05 * worst, leakage.Options{}})
 	}
 	suite := iscas.Suite()
 	if testing.Short() {

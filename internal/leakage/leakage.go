@@ -43,22 +43,10 @@ type Options struct {
 	// Power tunes the vector simulation behind the dynamic and static
 	// power estimates (vectors, seed, frequency).
 	Power power.Options
-	// STA configures the timing analyses guarding each promotion; use
-	// the same config as the sizing protocol for consistent slopes.
+	// STA is ignored: sta.Config carries nothing.
+	//
+	// Deprecated: ignored; kept only so the benchmark module builds.
 	STA sta.Config
-	// CapAtSVT stops promotion at the standard device (only LVT → SVT
-	// moves are allowed). By default promotion may reach HVT.
-	CapAtSVT bool
-	// MaxPromotions bounds the number of accepted promotions
-	// (0 = unbounded) — an experiment knob, not a tuning default.
-	MaxPromotions int
-}
-
-func (o Options) maxClass() tech.VtClass {
-	if o.CapAtSVT {
-		return tech.SVT
-	}
-	return tech.HVT
 }
 
 // Result reports a Vt-assignment run.
@@ -101,12 +89,11 @@ type Result struct {
 // protocol ran out of moves) only promotions that leave the worst
 // delay untouched are accepted.
 func Assign(ctx context.Context, c *netlist.Circuit, m *delay.Model, tc float64, opts Options) (*Result, error) {
-	return AssignSession(ctx, sta.NewSession(c, m, opts.STA), tc, opts)
+	return AssignSession(ctx, sta.NewSession(c, m, sta.Config{}), tc, opts)
 }
 
 // AssignSession is Assign over a caller-supplied incremental timing
-// session (the session's STA configuration governs the slopes; opts.STA
-// is ignored). The combined size-then-assign flow of
+// session. The combined size-then-assign flow of
 // core.Protocol.Optimize threads the sizing rounds' session through
 // here, so the pass starts from the already-propagated timing instead
 // of re-analyzing the circuit, and every promotion check runs on the
@@ -119,7 +106,6 @@ func AssignSession(ctx context.Context, sess *sta.Session, tc float64, opts Opti
 	if err := m.Proc.Validate(); err != nil {
 		return nil, err
 	}
-	maxClass := opts.maxClass()
 
 	res, err := sess.Analyze()
 	if err != nil {
@@ -172,7 +158,7 @@ func AssignSession(ctx context.Context, sess *sta.Session, tc float64, opts Opti
 		if !n.IsLogic() {
 			continue
 		}
-		if n.Vt.Rank() >= maxClass.Rank() {
+		if n.Vt.Rank() >= tech.HVT.Rank() {
 			continue
 		}
 		if sl := slacks.Slack(n); sl > 0 {
@@ -189,17 +175,16 @@ func AssignSession(ctx context.Context, sess *sta.Session, tc float64, opts Opti
 	p := &promoter{
 		res:    res,
 		budget: budget,
-		top:    maxClass,
-		limit:  opts.MaxPromotions,
 		nodes:  make([]*netlist.Node, len(cands)),
 		start:  make([]tech.VtClass, len(cands)),
 	}
 	for i, cd := range cands {
 		p.nodes[i], p.start[i] = cd.n, cd.n.Vt
 	}
-	if out.Considered, err = p.run(ctx); err != nil {
+	if err := p.run(ctx); err != nil {
 		return nil, err
 	}
+	out.Considered = len(cands)
 	out.Promoted = p.promoted
 
 	after, err := power.EstimateStaticProbs(c, m.Proc, probs)
@@ -225,85 +210,61 @@ func AssignSession(ctx context.Context, sess *sta.Session, tc float64, opts Opti
 // each climbing the ladder one class per timing check and stopping at
 // its first rejected step — with far fewer checks: arrival times only
 // grow as gates move up the ladder, so a block of candidates raised to
-// the top class together passes exactly when the greedy would accept
-// each of them all the way up.
+// HVT together passes exactly when the greedy would accept each of
+// them all the way up.
 type promoter struct {
 	res      *sta.Result
 	budget   float64
-	top      tech.VtClass
-	limit    int             // Options.MaxPromotions (0 = unbounded)
 	nodes    []*netlist.Node // candidates in pass order
 	start    []tech.VtClass  // their classes on entry
 	promoted int
 }
 
-// run handles every candidate and returns how many it considered: all
-// of them, or those up to the one whose promotion reached the cap.
+// run handles every candidate.
 //
 // Blocks hold k = max(1, gap/4) candidates, where gap counts the
 // candidates handled since the last rejection, so blocks grow through
 // runs of accepted moves and shrink to one at each rejection. A failing
 // block is bisected for its first rejected candidate; the halves before
 // it pass and are kept, and that candidate climbs alone.
-func (p *promoter) run(ctx context.Context) (int, error) {
+func (p *promoter) run(ctx context.Context) error {
 	i, gap := 0, 0
-	for i < len(p.nodes) && !p.capped() {
-		// The block [i, j): up to k candidates whose full climbs fit
-		// under the cap.
-		k := max(1, gap/4)
-		j, steps := i, 0
-		for j < len(p.nodes) && j-i < k && p.fits(steps+p.steps(j)) {
-			steps += p.steps(j)
-			j++
+	for i < len(p.nodes) {
+		j := min(len(p.nodes), i+max(1, gap/4))
+		kept, err := p.tryBlock(ctx, i, j)
+		if err != nil {
+			return err
 		}
-		if j > i {
-			kept, err := p.tryBlock(ctx, i, j)
+		if kept {
+			i, gap = j, gap+j-i
+			continue
+		}
+		// [lo, hi) fails on the current state; keep a passing front
+		// half (the back half then fails) or narrow to a failing one.
+		lo, hi := i, j
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			kept, err := p.tryBlock(ctx, lo, mid)
 			if err != nil {
-				return 0, err
+				return err
 			}
 			if kept {
-				i, gap = j, gap+j-i
-				continue
+				lo = mid
+			} else {
+				hi = mid
 			}
-			// [lo, hi) fails on the current state; keep a passing front
-			// half (the back half then fails) or narrow to a failing one.
-			lo, hi := i, j
-			for hi-lo > 1 {
-				mid := lo + (hi-lo)/2
-				kept, err := p.tryBlock(ctx, lo, mid)
-				if err != nil {
-					return 0, err
-				}
-				if kept {
-					lo = mid
-				} else {
-					hi = mid
-				}
-			}
-			i = lo
 		}
-		// Candidate i climbs alone: it failed at the top class, or the
-		// cap ends inside its climb (j == i).
-		if err := p.climb(ctx, i, j > i); err != nil {
-			return 0, err
+		// Candidate lo failed at HVT: it climbs alone.
+		if err := p.climb(ctx, lo); err != nil {
+			return err
 		}
-		i, gap = i+1, 0
+		i, gap = lo+1, 0
 	}
-	return i, nil
+	return nil
 }
 
-// steps is the number of ladder steps from candidate i's entry class
-// to the top class.
-func (p *promoter) steps(i int) int { return p.top.Rank() - p.start[i].Rank() }
-
-// fits reports whether s more promotion steps stay within the cap.
-func (p *promoter) fits(s int) bool { return p.limit <= 0 || p.promoted+s <= p.limit }
-
-// capped reports whether the cap has been reached.
-func (p *promoter) capped() bool { return p.limit > 0 && p.promoted >= p.limit }
-
-// tryBlock raises candidates [lo, hi) to the top class and checks the
-// budget with one timing trial, keeping the block when it passes and
+// tryBlock raises candidates [lo, hi) to HVT and checks the budget
+// with one timing trial, keeping the block when it passes and
 // restoring the entry classes when it does not. ctx is checked first,
 // so a cancelled pass leaves the last verified state.
 func (p *promoter) tryBlock(ctx context.Context, lo, hi int) (bool, error) {
@@ -312,8 +273,8 @@ func (p *promoter) tryBlock(ctx context.Context, lo, hi int) (bool, error) {
 	}
 	steps := 0
 	for i := lo; i < hi; i++ {
-		p.nodes[i].Vt = p.top
-		steps += p.steps(i)
+		p.nodes[i].Vt = tech.HVT
+		steps += tech.HVT.Rank() - p.start[i].Rank()
 	}
 	kept, err := p.res.Try(p.budget, p.nodes[lo:hi]...)
 	if !kept {
@@ -326,15 +287,14 @@ func (p *promoter) tryBlock(ctx context.Context, lo, hi int) (bool, error) {
 	return true, nil
 }
 
-// climb moves candidate i up the ladder one class per timing trial,
-// stopping at its first rejected step or at the cap. topFails says the
-// top class is already known to fail, so that step is rejected without
-// a trial.
-func (p *promoter) climb(ctx context.Context, i int, topFails bool) error {
+// climb moves candidate i, which is known to fail at HVT, up the
+// ladder one class per timing trial below HVT, stopping at its first
+// rejected step.
+func (p *promoter) climb(ctx context.Context, i int) error {
 	n := p.nodes[i]
-	for !p.capped() {
+	for {
 		next, ok := n.Vt.Promote()
-		if !ok || next.Rank() > p.top.Rank() || (topFails && next == p.top) {
+		if !ok || next == tech.HVT {
 			return nil
 		}
 		if err := ctx.Err(); err != nil {
@@ -349,5 +309,4 @@ func (p *promoter) climb(ctx context.Context, i int, topFails bool) error {
 		}
 		p.promoted++
 	}
-	return nil
 }

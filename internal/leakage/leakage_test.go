@@ -144,51 +144,10 @@ func TestAssignInfeasibleEntryNeverWorsens(t *testing.T) {
 	}
 }
 
-func TestAssignMaxPromotionsBound(t *testing.T) {
-	c, m, tc := optimized(t, "fpd", 1.5)
-	res, err := leakage.Assign(context.Background(), c, m, tc, leakage.Options{MaxPromotions: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Promoted != 3 {
-		t.Fatalf("promoted %d, want exactly the bound 3", res.Promoted)
-	}
-}
-
 func TestAssignRejectsBadInputs(t *testing.T) {
 	c, m, _ := optimized(t, "fpd", 1.5)
 	if _, err := leakage.Assign(context.Background(), c, m, 0, leakage.Options{}); err == nil {
 		t.Fatal("zero constraint accepted")
-	}
-}
-
-func TestAssignCapAtSVT(t *testing.T) {
-	// With the SVT ceiling an all-SVT circuit has no legal move, so
-	// nothing is promoted; an LVT gate may still climb one rung.
-	c, m, tc := optimized(t, "fpd", 1.5)
-	res, err := leakage.Assign(context.Background(), c, m, tc, leakage.Options{CapAtSVT: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Promoted != 0 || res.ByClass[tech.HVT] != 0 {
-		t.Fatalf("SVT ceiling violated: %+v", res)
-	}
-	var off *netlist.Node
-	for _, n := range c.Nodes {
-		if n.IsLogic() {
-			off = n
-		}
-	}
-	off.Vt = tech.LVT
-	res, err = leakage.Assign(context.Background(), c, m, tc, leakage.Options{CapAtSVT: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ByClass[tech.HVT] != 0 {
-		t.Fatal("SVT ceiling let a gate reach HVT")
-	}
-	if off.Vt == tech.LVT && res.Promoted == 0 {
-		t.Fatal("LVT gate with slack not promoted to SVT under the ceiling")
 	}
 }
 

@@ -609,16 +609,6 @@ func (c *Circuit) Gates() []*Node {
 	return gs
 }
 
-// SetUniformSize assigns the same per-pin input capacitance to every
-// logic cell (the paper's Tmax configuration uses the minimum drive).
-func (c *Circuit) SetUniformSize(cin float64) {
-	for _, n := range c.Nodes {
-		if n.IsLogic() {
-			n.CIn = cin
-		}
-	}
-}
-
 // Area returns the total transistor width ΣW of the circuit in µm given
 // a conversion of capacitance to width — the paper's cost metric.
 func (c *Circuit) Area(widthForCap func(float64) float64) float64 {

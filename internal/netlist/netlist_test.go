@@ -218,13 +218,10 @@ func TestCloneDeep(t *testing.T) {
 	}
 }
 
-func TestSetUniformSizeAndArea(t *testing.T) {
+func TestArea(t *testing.T) {
 	c := buildDiamond(t)
-	c.SetUniformSize(4)
 	for _, g := range c.Gates() {
-		if g.CIn != 4 {
-			t.Fatal("SetUniformSize missed a gate")
-		}
+		g.CIn = 4
 	}
 	// Two INVs (1 pin) + one NAND2 (2 pins) at 4 fF, 2 fF/µm → 8 µm.
 	area := c.Area(func(cap float64) float64 { return cap / 2 })

@@ -149,19 +149,3 @@ func RewritePathNORs(c *netlist.Circuit, nodes []*netlist.Node) (*Report, error)
 	}
 	return rep, nil
 }
-
-// NorShare returns the fraction of the given nodes that are NOR-family
-// gates — the candidate pool size for restructuring.
-func NorShare(nodes []*netlist.Node) float64 {
-	if len(nodes) == 0 {
-		return 0
-	}
-	nor := 0
-	for _, n := range nodes {
-		switch n.Type {
-		case gate.Nor2, gate.Nor3, gate.Nor4:
-			nor++
-		}
-	}
-	return float64(nor) / float64(len(nodes))
-}

@@ -205,12 +205,18 @@ func TestRewriteBenchmarkCriticalPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		nodes := res.CriticalNodes()
-		share := NorShare(nodes)
+		nors := 0
+		for _, n := range nodes {
+			switch n.Type {
+			case gate.Nor2, gate.Nor3, gate.Nor4:
+				nors++
+			}
+		}
 		rep, err := RewritePathNORs(c, nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if share > 0 && len(rep.Rewritten) == 0 {
+		if nors > 0 && len(rep.Rewritten) == 0 {
 			t.Fatalf("%s: NORs on path but none rewritten", name)
 		}
 		if err := c.Validate(); err != nil {
@@ -223,17 +229,6 @@ func TestRewriteBenchmarkCriticalPath(t *testing.T) {
 		if ce != nil {
 			t.Fatalf("%s: logic changed: %v", name, ce)
 		}
-	}
-}
-
-func TestNorShare(t *testing.T) {
-	c := norCircuit(t)
-	nodes := []*netlist.Node{c.Node("nor1"), c.Node("mid"), c.Node("nor2"), c.Node("out")}
-	if got := NorShare(nodes); got != 0.5 {
-		t.Fatalf("NorShare = %g, want 0.5", got)
-	}
-	if NorShare(nil) != 0 {
-		t.Fatal("empty share must be 0")
 	}
 }
 

@@ -26,24 +26,21 @@ import (
 // structure modification (§4).
 var ErrInfeasible = errors.New("sizing: delay constraint below minimum achievable delay")
 
+const (
+	// searchIter bounds Distribute's bisection steps on the
+	// sensitivity a.
+	searchIter = 60
+	// delayTol is Distribute's relative tolerance on meeting the delay
+	// constraint.
+	delayTol = 1e-6
+)
+
 // Options tunes the iterative solvers. The zero value selects defaults.
 type Options struct {
 	// MaxSweeps bounds the link-equation fixed-point sweeps (default 140).
 	MaxSweeps int
 	// Tol is the relative convergence tolerance on sizes (default 1e-9).
 	Tol float64
-	// SearchIter bounds the bisection steps on the sensitivity a
-	// (default 60).
-	SearchIter int
-	// DelayTol is the relative tolerance on meeting the delay
-	// constraint (default 1e-6).
-	DelayTol float64
-	// NoPolish disables the worst-edge coordinate-descent refinement
-	// that follows the link-equation fixed point in Tmin. The fixed
-	// point minimizes the edge-averaged objective; the polish descends
-	// the (also convex) worst-launch-edge delay that experiments
-	// report. Disable to study the pure eq. (4) method.
-	NoPolish bool
 	// NoTrace suppresses the Result.Iterations bookkeeping of Tmin —
 	// the per-sweep trajectory only Fig. 1 consumes. Hot callers (the
 	// protocol's round loop, the batch engine) set it; the trace is
@@ -129,12 +126,6 @@ func (o Options) withDefaults() Options {
 	if o.Tol <= 0 {
 		o.Tol = 1e-9
 	}
-	if o.SearchIter <= 0 {
-		o.SearchIter = 60
-	}
-	if o.DelayTol <= 0 {
-		o.DelayTol = 1e-6
-	}
 	return o
 }
 
@@ -172,7 +163,17 @@ func Tmax(m *delay.Model, pa *delay.Path) float64 {
 // terminal load with C_IN(i-1) = CREF; the fixed point is independent
 // of the seed (a property test exercises this). The first stage's input
 // capacitance is fixed (bounded path) and never modified.
+//
+// The link-equation fixed point minimizes the edge-averaged delay; a
+// worst-edge polish then descends the (also convex) worst-launch-edge
+// delay that experiments report.
 func Tmin(m *delay.Model, pa *delay.Path, opts Options) (*Result, error) {
+	return tmin(m, pa, opts, true)
+}
+
+// tmin is Tmin with the worst-edge polish optional: Distribute's
+// feasibility probe needs only the eq. (4) fixed point itself.
+func tmin(m *delay.Model, pa *delay.Path, opts Options, polish bool) (*Result, error) {
 	o := opts.withDefaults()
 	if err := pa.Validate(); err != nil {
 		return nil, err
@@ -224,7 +225,7 @@ func Tmin(m *delay.Model, pa *delay.Path, opts Options) (*Result, error) {
 	// delay; the reported metric is the worst launch edge, whose delay
 	// is also convex in the sizes (a max of convex functions), so a
 	// coordinate golden-section descent converges to its optimum.
-	if !o.NoPolish {
+	if polish {
 		polishWorstEdge(m, pa, o.Workspace.PathEval())
 		if !o.NoTrace {
 			res.Iterations = append(res.Iterations, IterationPoint{
@@ -417,31 +418,26 @@ func Distribute(m *delay.Model, pa *delay.Path, tc float64, opts Options) (*Resu
 	// worst-edge polish is skipped here — the distribution step only
 	// needs the family's own minimum, and the polish would dominate
 	// the method's CPU time on long paths (Table 1 measures this step).
-	oNoPolish := opts
-	oNoPolish.NoPolish = true
-	rmin, err := Tmin(m, pa, oNoPolish)
+	rmin, err := tmin(m, pa, opts, false)
 	if err != nil {
 		return nil, err
 	}
-	if tc < rmin.Delay*(1-o.DelayTol) {
+	if tc < rmin.Delay*(1-delayTol) {
 		// The constraint sits below the family's minimum. The
 		// worst-edge polish can still shave a little: accept tc in
 		// the window [polished Tmin, family Tmin), so Distribute
 		// agrees with the bound Tmin reports.
-		if !opts.NoPolish {
-			rp, errP := Tmin(m, pa, opts)
-			if errP != nil {
-				return nil, errP
-			}
-			if tc >= rp.Delay*(1-o.DelayTol) {
-				rp.A = 0
-				return rp, nil
-			}
-			rmin = rp
+		rp, err := Tmin(m, pa, opts)
+		if err != nil {
+			return nil, err
 		}
-		return rmin, fmt.Errorf("%w: Tc=%.1f ps < Tmin=%.1f ps", ErrInfeasible, tc, rmin.Delay)
+		if tc >= rp.Delay*(1-delayTol) {
+			rp.A = 0
+			return rp, nil
+		}
+		return rp, fmt.Errorf("%w: Tc=%.1f ps < Tmin=%.1f ps", ErrInfeasible, tc, rp.Delay)
 	}
-	if tc <= rmin.Delay*(1+o.DelayTol) {
+	if tc <= rmin.Delay*(1+delayTol) {
 		rmin.A = 0
 		return rmin, nil
 	}
@@ -495,7 +491,7 @@ func Distribute(m *delay.Model, pa *delay.Path, tc float64, opts Options) (*Resu
 	// is all the epilogue needs.
 	aHi := 0.0
 	bestA := aHi
-	for iter := 0; iter < o.SearchIter; iter++ {
+	for iter := 0; iter < searchIter; iter++ {
 		mid := (aLo + aHi) / 2
 		r, err := AtSensitivity(m, pa, mid, opts)
 		if err != nil {
@@ -507,7 +503,7 @@ func Distribute(m *delay.Model, pa *delay.Path, tc float64, opts Options) (*Resu
 			aHi = mid
 			bestA = mid
 		}
-		if math.Abs(r.Delay-tc) <= o.DelayTol*tc {
+		if math.Abs(r.Delay-tc) <= delayTol*tc {
 			bestA = mid
 			break
 		}
@@ -524,12 +520,10 @@ func Distribute(m *delay.Model, pa *delay.Path, tc float64, opts Options) (*Resu
 	// worst-edge delay recovers the last few percent of area. The
 	// feasible set in each coordinate is an interval (convexity), so
 	// per-stage bisection toward the lower boundary is sound.
-	if !opts.NoPolish {
-		trimArea(m, pa, tc, o.Workspace.PathEval())
-		r.Delay = m.PathDelayWorst(pa)
-		r.MeanDelay = m.PathDelayMean(pa)
-		r.Area = pa.Area(m.Proc)
-	}
+	trimArea(m, pa, tc, o.Workspace.PathEval())
+	r.Delay = m.PathDelayWorst(pa)
+	r.MeanDelay = m.PathDelayMean(pa)
+	r.Area = pa.Area(m.Proc)
 	return r, nil
 }
 

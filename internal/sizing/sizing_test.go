@@ -45,7 +45,7 @@ func TestTminStationary(t *testing.T) {
 	// stationary point of the edge-averaged objective.
 	m := model()
 	pa := mkPath(m.Proc, mixed, 120)
-	r, err := Tmin(m, pa, Options{NoPolish: true})
+	r, err := tmin(m, pa, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestAtSensitivityZeroEqualsTmin(t *testing.T) {
 	// a = 0 reproduces the unpolished link-equation minimum.
 	m := model()
 	pa := mkPath(m.Proc, mixed, 120)
-	rt, err := Tmin(m, pa.Clone(), Options{NoPolish: true})
+	rt, err := tmin(m, pa.Clone(), Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestDistributeRespectsFirstStage(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.MaxSweeps <= 0 || o.Tol <= 0 || o.SearchIter <= 0 || o.DelayTol <= 0 {
+	if o.MaxSweeps <= 0 || o.Tol <= 0 {
 		t.Fatalf("defaults not filled: %+v", o)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/delay"
 	"repro/internal/gate"
 	"repro/internal/netlist"
 )
@@ -170,7 +171,7 @@ func (r *Result) seed(changed []*netlist.Node) {
 //pops:noalloc
 func (r *Result) sweep(budget float64, log bool) (int, bool) {
 	recomputed := 0
-	tauIn := r.Config.inputTau(r.Model.Proc)
+	tauIn := delay.DefaultTauIn(r.Model.Proc)
 	for w := r.lo >> 6; w <= r.hi>>6; w++ {
 		for r.dirty[w] != 0 {
 			b := bits.TrailingZeros64(r.dirty[w])

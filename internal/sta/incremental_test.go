@@ -93,7 +93,7 @@ func scanUpdate(r *Result, changed *netlist.Node) int {
 		old := r.timing[n.ID]
 		switch n.Type {
 		case gate.Input:
-			tau := r.Config.inputTau(r.Model.Proc)
+			tau := delay.DefaultTauIn(r.Model.Proc)
 			r.timing[n.ID] = NodeTiming{TauRise: tau, TauFall: tau}
 		case gate.Output:
 			r.timing[n.ID] = r.timing[n.Fanin[0].ID]

@@ -21,26 +21,16 @@ import (
 	"repro/internal/delay"
 	"repro/internal/gate"
 	"repro/internal/netlist"
-	"repro/internal/tech"
 )
 
-// Config parameterizes an analysis run.
+// Config parameterizes an analysis run. It carries nothing: every
+// analysis runs serially and presents delay.DefaultTauIn for the
+// model's corner at every primary input.
 type Config struct {
-	// InputTau is the transition time (ps) presented at every primary
-	// input. Zero selects delay.DefaultTauIn for the model's corner.
-	InputTau float64
-
 	// Parallelism is ignored: every analysis runs serially.
 	//
 	// Deprecated: ignored; kept only so the benchmark module builds.
 	Parallelism int
-}
-
-func (cfg Config) inputTau(p *tech.Process) float64 {
-	if cfg.InputTau > 0 {
-		return cfg.InputTau
-	}
-	return delay.DefaultTauIn(p)
 }
 
 // NodeTiming carries the per-net timing state: worst arrival times and
@@ -148,7 +138,7 @@ func (r *Result) analyze() error {
 	}
 	r.order = order
 	r.grow()
-	tauIn := r.Config.inputTau(r.Model.Proc)
+	tauIn := delay.DefaultTauIn(r.Model.Proc)
 	r.WorstDelay = math.Inf(-1)
 	r.WorstOutput = nil
 
@@ -239,9 +229,6 @@ func (r *Result) Epoch() uint64 { return r.epoch }
 // structure (no structural mutation since the last analyze/update).
 func (r *Result) Fresh() bool { return r.epoch == r.Circuit.Epoch() }
 
-// ArrivalAt returns the worst arrival time at a node's output (ps).
-func (r *Result) ArrivalAt(n *netlist.Node) float64 { return r.Timing(n).Worst() }
-
 // CriticalNodes backtracks the worst path from the worst output to a
 // primary input, returning the logic nodes in signal order.
 func (r *Result) CriticalNodes() []*netlist.Node {
@@ -297,7 +284,7 @@ func PathFromNodesInto(pa *delay.Path, name string, nodes []*netlist.Node, m *de
 		return fmt.Errorf("sta: empty node chain for path %q", name)
 	}
 	pa.Name = name
-	pa.TauIn = cfg.inputTau(m.Proc)
+	pa.TauIn = delay.DefaultTauIn(m.Proc)
 	pa.Stages = pa.Stages[:0]
 	for i, n := range nodes {
 		if !n.IsLogic() {

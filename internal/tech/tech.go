@@ -176,10 +176,6 @@ func (p *Process) VTMean() float64 { return (p.VTN + p.VTP) / 2 }
 // transistor width WN+WP (µm) realizing it.
 func (p *Process) WidthForCap(c float64) float64 { return c / p.CgPerMicron }
 
-// CapForWidth converts a total transistor width (µm) into the input pin
-// capacitance (fF) it presents.
-func (p *Process) CapForWidth(w float64) float64 { return w * p.CgPerMicron }
-
 // WN splits a total width WN+WP into its N component using the
 // configuration ratio k.
 func (p *Process) WN(total float64) float64 { return total / (1 + p.K) }

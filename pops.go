@@ -381,7 +381,7 @@ func Calibrate(p *Process, types []GateType) (*Calibration, error) {
 	if types == nil {
 		types = calib.DefaultTypes()
 	}
-	return calib.Calibrate(p, nil, types, calib.Options{})
+	return calib.Calibrate(p, nil, types)
 }
 
 // ApplyWireLoads estimates routing capacitance on every net with the
