@@ -7,6 +7,7 @@ package logic
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"strings"
@@ -83,65 +84,90 @@ const ExhaustiveLimit = 16
 // check is exhaustive; beyond that, trials random assignments drawn
 // from the seeded generator are used. It returns a counterexample on
 // failure and an error on structural mismatch.
+//
+// The assignments are evaluated 64 at a time, one per bit of a machine
+// word (EvalWords). The counterexample is still the first failing
+// assignment in test order, with its first disagreeing output in name
+// order.
 func Equivalent(a, b *netlist.Circuit, trials int, seed int64) (*Counterexample, error) {
 	ins, err := matchNames(inputNames(a), inputNames(b), "input")
 	if err != nil {
 		return nil, err
 	}
-	if _, err := matchNames(outputNames(a), outputNames(b), "output"); err != nil {
+	outs, err := matchNames(outputNames(a), outputNames(b), "output")
+	if err != nil {
 		return nil, err
 	}
+	ea, err := newWordEval(a, ins, outs)
+	if err != nil {
+		return nil, err
+	}
+	eb, err := newWordEval(b, ins, outs)
+	if err != nil {
+		return nil, err
+	}
+
+	// words[i] packs input ins[i] of the batch's assignments: bit j is
+	// its value in assignment j.
 	n := len(ins)
-	check := func(assign map[string]bool) (*Counterexample, error) {
-		oa, err := Eval(a, assign)
-		if err != nil {
-			return nil, err
+	words := make([]uint64, n)
+	lanes := 0
+	// flush evaluates the batch and returns the counterexample of its
+	// first failing assignment, if any.
+	flush := func() *Counterexample {
+		if lanes == 0 {
+			return nil
 		}
-		ob, err := Eval(b, assign)
-		if err != nil {
-			return nil, err
+		ea.eval(words)
+		eb.eval(words)
+		var diff uint64
+		for k := range outs {
+			diff |= ea.out(k) ^ eb.out(k)
 		}
-		// Report the first disagreeing output in name order, not map
-		// order: which output a counterexample names must not depend on
-		// the runtime's iteration shuffle.
-		names := make([]string, 0, len(oa))
-		for name := range oa {
-			names = append(names, name)
+		diff &= ^uint64(0) >> (64 - lanes)
+		if diff == 0 {
+			clear(words)
+			lanes = 0
+			return nil
 		}
-		sort.Strings(names)
-		for _, name := range names {
-			if va, vb := oa[name], ob[name]; va != vb {
-				in := make(map[string]bool, len(assign))
-				for k, v := range assign {
-					in[k] = v
-				}
-				return &Counterexample{Inputs: in, Output: name, A: va, B: vb}, nil
+		j := bits.TrailingZeros64(diff)
+		in := make(map[string]bool, n)
+		for i, name := range ins {
+			in[name] = words[i]>>j&1 == 1
+		}
+		k := 0
+		for (ea.out(k)^eb.out(k))>>j&1 == 0 {
+			k++
+		}
+		return &Counterexample{Inputs: in, Output: outs[k], A: ea.out(k)>>j&1 == 1, B: eb.out(k)>>j&1 == 1}
+	}
+	// add appends the assignment giving input ins[i] the value
+	// value(i), in i order, as the batch's next lane.
+	add := func(value func(i int) bool) *Counterexample {
+		for i := range words {
+			if value(i) {
+				words[i] |= 1 << lanes
 			}
 		}
-		return nil, nil
+		if lanes++; lanes == 64 {
+			return flush()
+		}
+		return nil
 	}
 
 	if n <= ExhaustiveLimit {
-		assign := make(map[string]bool, n)
 		for mask := 0; mask < 1<<uint(n); mask++ {
-			for i, name := range ins {
-				assign[name] = mask&(1<<uint(i)) != 0
-			}
-			if ce, err := check(assign); ce != nil || err != nil {
-				return ce, err
+			if ce := add(func(i int) bool { return mask&(1<<uint(i)) != 0 }); ce != nil {
+				return ce, nil
 			}
 		}
-		return nil, nil
+		return flush(), nil
 	}
 
 	rng := rand.New(rand.NewSource(seed))
-	assign := make(map[string]bool, n)
 	for t := 0; t < trials; t++ {
-		for _, name := range ins {
-			assign[name] = rng.Intn(2) == 1
-		}
-		if ce, err := check(assign); ce != nil || err != nil {
-			return ce, err
+		if ce := add(func(int) bool { return rng.Intn(2) == 1 }); ce != nil {
+			return ce, nil
 		}
 	}
 	// Also probe the all-zero, all-one, walking-one and walking-zero
@@ -149,29 +175,90 @@ func Equivalent(a, b *netlist.Circuit, trials int, seed int64) (*Counterexample,
 	// which exercise wide AND/OR reductions (a single gate swapped
 	// deep inside an AND tree only shows under almost-all-ones
 	// vectors).
-	corners := make([]map[string]bool, 0, 2*n+2)
-	zero := make(map[string]bool, n)
-	one := make(map[string]bool, n)
-	for _, name := range ins {
-		zero[name] = false
-		one[name] = true
+	corners := []func(int) bool{
+		func(int) bool { return false },
+		func(int) bool { return true },
 	}
-	corners = append(corners, zero, one)
 	for i := range ins {
-		walkOne := make(map[string]bool, n)
-		walkZero := make(map[string]bool, n)
-		for j, name := range ins {
-			walkOne[name] = i == j
-			walkZero[name] = i != j
-		}
-		corners = append(corners, walkOne, walkZero)
+		corners = append(corners,
+			func(j int) bool { return i == j },
+			func(j int) bool { return i != j })
 	}
-	for _, assign := range corners {
-		if ce, err := check(assign); ce != nil || err != nil {
-			return ce, err
+	for _, value := range corners {
+		if ce := add(value); ce != nil {
+			return ce, nil
 		}
 	}
-	return nil, nil
+	return flush(), nil
+}
+
+// wordEval evaluates one circuit on 64 input assignments at once.
+type wordEval struct {
+	order []*netlist.Node
+	ins   []*netlist.Node // input nodes, in the caller's name order
+	outs  []*netlist.Node // output pseudo-nodes, in the caller's name order
+	val   []uint64        // packed net values, indexed by Node.ID
+	args  []uint64        // fan-in gather scratch
+}
+
+func newWordEval(c *netlist.Circuit, ins, outs []string) (*wordEval, error) {
+	order, err := c.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	e := &wordEval{order: order, val: make([]uint64, c.IDBound())}
+	for _, name := range ins {
+		e.ins = append(e.ins, c.Node(name))
+	}
+	byName := make(map[string]*netlist.Node, len(c.Outputs))
+	for _, o := range c.Outputs {
+		byName[strings.TrimSuffix(o.Name, "$po")] = o
+	}
+	for _, name := range outs {
+		e.outs = append(e.outs, byName[name])
+	}
+	return e, nil
+}
+
+// eval evaluates the circuit with words[i] driving input i.
+func (e *wordEval) eval(words []uint64) {
+	for i, n := range e.ins {
+		e.val[n.ID] = words[i]
+	}
+	e.args = EvalWords(e.order, e.val, e.args)
+}
+
+// out returns output k's packed values from the last eval.
+func (e *wordEval) out(k int) uint64 { return e.val[e.outs[k].ID] }
+
+// EvalWords evaluates a circuit on 64 packed input assignments: one
+// pass over the topological order, evaluating each gate on one word
+// whose bit j belongs to assignment j. Input words are pre-packed by
+// the caller in cur (indexed by Node.ID); outputs forward their
+// driver's word; gates gather fan-in words into the reused args
+// scratch and evaluate through gate.EvalWord. It is also the word
+// kernel of the power package's vector simulation, which runs it once
+// per 64-vector chunk of every power profile, so its steady state must
+// not allocate; the grown scratch is returned so the caller keeps the
+// capacity across calls.
+//
+//pops:noalloc
+func EvalWords(order []*netlist.Node, cur []uint64, args []uint64) []uint64 {
+	for _, n := range order {
+		switch {
+		case n.Type == gate.Input:
+			// cur[n.ID] was packed by the caller.
+		case n.Type == gate.Output:
+			cur[n.ID] = cur[n.Fanin[0].ID]
+		default:
+			args = args[:0]
+			for _, f := range n.Fanin {
+				args = append(args, cur[f.ID])
+			}
+			cur[n.ID] = gate.EvalWord(n.Type, args)
+		}
+	}
+	return args
 }
 
 func inputNames(c *netlist.Circuit) []string {

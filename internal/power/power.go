@@ -25,6 +25,7 @@ import (
 	"math/rand"
 
 	"repro/internal/gate"
+	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/tech"
 )
@@ -85,7 +86,7 @@ type Estimate struct {
 // (activity) and static (state-probability) estimators.
 //
 // The evaluation is bit-parallel: 64 vectors are packed per machine
-// word, gates are evaluated word-wise through gate.EvalWord, toggle
+// word, gates are evaluated word-wise through logic.EvalWords, toggle
 // counts fall out of popcount(cur XOR (cur<<1 | carry)) with the carry
 // bit threading the last vector of the previous word across chunk
 // boundaries, and high counts out of popcount(cur). The input-flip
@@ -93,8 +94,8 @@ type Estimate struct {
 // scalar loop (one Intn(2) per input to seed, then one Float64 per
 // input per vector), so toggle and high counts — and every Activities,
 // StateProbabilities and leakage figure derived from them — are
-// bit-identical to the retained scalar reference (simulateScalar,
-// exercised by the equivalence tests).
+// bit-identical to the retained scalar reference (simulateScalar in
+// scalar_test.go, exercised by the equivalence tests).
 func simulate(c *netlist.Circuit, o Options) ([]*netlist.Node, []int, []int, error) {
 	order, err := c.TopoOrder()
 	if err != nil {
@@ -119,7 +120,7 @@ func simulate(c *netlist.Circuit, o Options) ([]*netlist.Node, []int, []int, err
 			cur[n.ID] = ^uint64(0)
 		}
 	}
-	args = evalWords(order, cur, args)
+	args = logic.EvalWords(order, cur, args)
 	for _, n := range order {
 		carry[n.ID] = cur[n.ID] & 1
 	}
@@ -148,103 +149,13 @@ func simulate(c *netlist.Circuit, o Options) ([]*netlist.Node, []int, []int, err
 			}
 		}
 
-		args = evalWords(order, cur, args)
+		args = logic.EvalWords(order, cur, args)
 		for _, n := range order {
 			w := cur[n.ID]
 			prev := (w << 1) | carry[n.ID]
 			toggles[n.ID] += bits.OnesCount64((w ^ prev) & mask)
 			highs[n.ID] += bits.OnesCount64(w & mask)
 			carry[n.ID] = (w >> uint(nbits-1)) & 1
-		}
-	}
-	return order, toggles, highs, nil
-}
-
-// evalWords is the bit-parallel word kernel of the vector simulation:
-// one pass over the topological order, evaluating each gate on one
-// packed 64-vector word. Input words are pre-packed by the caller;
-// outputs forward their driver's word; gates gather fan-in words into
-// the reused args scratch and evaluate through gate.EvalWord. It runs
-// once per 64-vector chunk of every power profile, so its steady state
-// must not allocate; the grown scratch is returned so the caller keeps
-// the capacity across chunks.
-//
-//pops:noalloc
-func evalWords(order []*netlist.Node, cur []uint64, args []uint64) []uint64 {
-	for _, n := range order {
-		switch {
-		case n.Type == gate.Input:
-			// cur[n.ID] was packed by the caller.
-		case n.Type == gate.Output:
-			cur[n.ID] = cur[n.Fanin[0].ID]
-		default:
-			args = args[:0]
-			for _, f := range n.Fanin {
-				args = append(args, cur[f.ID])
-			}
-			cur[n.ID] = gate.EvalWord(n.Type, args)
-		}
-	}
-	return args
-}
-
-// simulateScalar is the retained scalar reference of the vector
-// simulation: one map-keyed evaluation per vector, the historical
-// implementation the bit-parallel simulate replaced. It runs only in
-// the equivalence tests and the scalar rows of BenchmarkPowerProfile —
-// never on a production path — and defines the contract simulate must
-// match: identical RNG consumption, identical toggle and high counts.
-func simulateScalar(c *netlist.Circuit, o Options) ([]*netlist.Node, map[*netlist.Node]int, map[*netlist.Node]int, error) {
-	order, err := c.TopoOrder()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rng := rand.New(rand.NewSource(o.Seed))
-
-	// Current input assignment, evolved by random flips.
-	in := make(map[string]bool, len(c.Inputs))
-	for _, n := range c.Inputs {
-		in[n.Name] = rng.Intn(2) == 1
-	}
-
-	prev := make(map[*netlist.Node]bool, len(order))
-	toggles := make(map[*netlist.Node]int, len(order))
-	highs := make(map[*netlist.Node]int, len(order))
-
-	eval := func(dst map[*netlist.Node]bool) {
-		for _, n := range order {
-			switch {
-			case n.Type == gate.Input:
-				dst[n] = in[n.Name]
-			case n.Type == gate.Output:
-				dst[n] = dst[n.Fanin[0]]
-			default:
-				args := make([]bool, len(n.Fanin))
-				for i, f := range n.Fanin {
-					args[i] = dst[f]
-				}
-				dst[n] = gate.Eval(n.Type, args)
-			}
-		}
-	}
-	eval(prev)
-
-	cur := make(map[*netlist.Node]bool, len(order))
-	for v := 0; v < o.Vectors; v++ {
-		for _, n := range c.Inputs {
-			if rng.Float64() < o.InputActivity {
-				in[n.Name] = !in[n.Name]
-			}
-		}
-		eval(cur)
-		for _, n := range order {
-			if cur[n] != prev[n] {
-				toggles[n]++
-			}
-			if cur[n] {
-				highs[n]++
-			}
-			prev[n] = cur[n]
 		}
 	}
 	return order, toggles, highs, nil
@@ -278,30 +189,6 @@ func SimulateProfile(c *netlist.Circuit, opts Options) (*Profile, error) {
 		}
 		p.Activities[n.Name] = float64(toggles[n.ID]) / float64(o.Vectors)
 		p.StateProbs[n.Name] = float64(highs[n.ID]) / float64(o.Vectors)
-	}
-	return p, nil
-}
-
-// scalarProfile is SimulateProfile over the retained scalar reference
-// simulation — the comparison arm of the equivalence tests and of
-// BenchmarkPowerProfile's scalar rows. Production callers always go
-// through SimulateProfile's bit-parallel path.
-func scalarProfile(c *netlist.Circuit, opts Options) (*Profile, error) {
-	o := opts.withDefaults()
-	order, toggles, highs, err := simulateScalar(c, o)
-	if err != nil {
-		return nil, err
-	}
-	p := &Profile{
-		Activities: make(map[string]float64, len(order)),
-		StateProbs: make(map[string]float64, len(order)),
-	}
-	for _, n := range order {
-		if n.Type == gate.Output {
-			continue // the PO pseudo-node mirrors its driver
-		}
-		p.Activities[n.Name] = float64(toggles[n]) / float64(o.Vectors)
-		p.StateProbs[n.Name] = float64(highs[n]) / float64(o.Vectors)
 	}
 	return p, nil
 }
