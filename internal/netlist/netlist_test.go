@@ -218,7 +218,7 @@ func TestCloneDeep(t *testing.T) {
 	}
 }
 
-func TestArea(t *testing.T) {
+func TestSetUniformSizeAndArea(t *testing.T) {
 	c := buildDiamond(t)
 	for _, g := range c.Gates() {
 		g.CIn = 4
