@@ -381,7 +381,7 @@ func DistributeWithBuffers(m *delay.Model, pa *delay.Path, tc float64, limits ma
 		if mode == Global {
 			r, err = sizing.Distribute(m, q, tc, opts)
 		} else {
-			r, err = distributeFrozenBuffers(m, q, tc, opts, aStart)
+			r, err = distributeFrozenBuffers(m, q, tc, opts.Workspace, aStart)
 		}
 		if r != nil {
 			rv := *r
@@ -487,71 +487,34 @@ func sizeInsertedLocally(m *delay.Model, pa *delay.Path, idx int, ev *delay.Path
 	}
 }
 
-// solveFrozen runs the eq. (6) sweep kernel at sensitivity a with the
-// inserted stages pinned, under the frozen-buffer sweep budget o, and
-// returns the worst-edge delay.
-func solveFrozen(m *delay.Model, pa *delay.Path, a float64, o sizing.Options) float64 {
-	sizing.SolveSensitivity(m, pa, a, true, o)
-	return m.PathDelayWorst(pa)
-}
-
 // distributeFrozenBuffers distributes the delay constraint over the
 // original stages only, with the inserted buffers held at locally
-// optimized sizes. A few outer rounds alternate (a) golden-section
-// re-sizing of each buffer against the current neighborhood and (b) a
-// bisection on the sensitivity a with the buffers pinned.
+// optimized sizes. Three outer rounds alternate (a) golden-section
+// re-sizing of each buffer against the current neighborhood and (b)
+// sizing.DistributeFrozen with the buffers pinned.
 //
-// aStart is a known sensitivity of a nearby problem, or 0 for none.
-// Each round's ×4 expansion starts at a quarter of the best a known
-// (aStart, then the previous round's), or at −1e-4 if that is closer
-// to 0: a step or two from the root instead of ~11.
-func distributeFrozenBuffers(m *delay.Model, pa *delay.Path, tc float64, opts sizing.Options, aStart float64) (*sizing.Result, error) {
-	ev := opts.Workspace.PathEval()
-	// The frozen solve's own budget: up to 120 sweeps to a 1e-10
-	// relative size change, tighter than Distribute's defaults.
-	frozen := sizing.Options{MaxSweeps: 120, Tol: 1e-10, Workspace: opts.Workspace}
-	var res *sizing.Result
+// aStart is a known sensitivity of a nearby problem, or 0 for none;
+// each round's search starts from the best a known (aStart, then the
+// previous round's).
+func distributeFrozenBuffers(m *delay.Model, pa *delay.Path, tc float64, ws *sizing.Workspace, aStart float64) (*sizing.Result, error) {
+	ev := ws.PathEval()
+	var res sizing.Result
 	for round := 0; round < 3; round++ {
-		// (a) local buffer sizing against the current sizes.
 		for i := range pa.Stages {
 			if pa.Stages[i].Inserted {
 				sizeInsertedLocally(m, pa, i, ev)
 			}
 		}
-		// (b) frozen-buffer sensitivity bisection.
-		if d := solveFrozen(m, pa, 0, frozen); d > tc {
-			// Even the frozen minimum misses tc this round; try the
-			// next round's buffer re-size, or report the shortfall.
-			res = &sizing.Result{Delay: d, MeanDelay: m.PathDelayMean(pa), Area: pa.Area(m.Proc), A: 0}
-			continue
+		// A round whose frozen minimum misses tc keeps the previous
+		// start: the next round's buffer re-size may still reach tc.
+		var ok bool
+		if res, ok = sizing.DistributeFrozen(m, pa, tc, aStart, ws); ok {
+			aStart = res.A
 		}
-		aLo, aHi := min(aStart/4, -1e-4), 0.0
-		// Every probe that still meets tc narrows the bracket from above.
-		for range [64]int{} {
-			if solveFrozen(m, pa, aLo, frozen) >= tc {
-				break
-			}
-			aHi = aLo
-			aLo *= 4
-		}
-		for iter := 0; iter < 70; iter++ {
-			mid := (aLo + aHi) / 2
-			if solveFrozen(m, pa, mid, frozen) > tc {
-				aLo = mid
-			} else {
-				aHi = mid
-			}
-		}
-		d := solveFrozen(m, pa, aHi, frozen)
-		res = &sizing.Result{Delay: d, MeanDelay: m.PathDelayMean(pa), Area: pa.Area(m.Proc), A: aHi}
-		aStart = aHi
-	}
-	if res == nil {
-		res = &sizing.Result{Delay: m.PathDelayWorst(pa), MeanDelay: m.PathDelayMean(pa), Area: pa.Area(m.Proc)}
 	}
 	if res.Delay > tc*(1+1e-6) {
-		return res, fmt.Errorf("%w: local buffering reached %.1f ps, constraint %.1f ps",
+		return &res, fmt.Errorf("%w: local buffering reached %.1f ps, constraint %.1f ps",
 			sizing.ErrInfeasible, res.Delay, tc)
 	}
-	return res, nil
+	return &res, nil
 }

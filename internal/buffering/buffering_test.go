@@ -351,9 +351,9 @@ func TestFrozenWarmStartMatchesCold(t *testing.T) {
 		}
 		for _, ratio := range []float64{1.2, 1.5} {
 			tc := ratio * rt.Delay
-			opts := sizing.Options{Workspace: &sizing.Workspace{}}
+			ws := &sizing.Workspace{}
 			incumbent := pa.Clone()
-			inc, err := distributeFrozenBuffers(m, incumbent, tc, opts, 0)
+			inc, err := distributeFrozenBuffers(m, incumbent, tc, ws, 0)
 			if err != nil {
 				t.Fatalf("%s@%g: unbuffered frozen solve: %v", spec.Name, ratio, err)
 			}
@@ -370,9 +370,9 @@ func TestFrozenWarmStartMatchesCold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sizeInsertedLocally(m, trial, idx+1, opts.Workspace.PathEval())
-			cold, errC := distributeFrozenBuffers(m, trial.Clone(), tc, opts, 0)
-			warm, errW := distributeFrozenBuffers(m, trial.Clone(), tc, opts, inc.A)
+			sizeInsertedLocally(m, trial, idx+1, ws.PathEval())
+			cold, errC := distributeFrozenBuffers(m, trial.Clone(), tc, ws, 0)
+			warm, errW := distributeFrozenBuffers(m, trial.Clone(), tc, ws, inc.A)
 			if (errC == nil) != (errW == nil) {
 				t.Fatalf("%s@%g: feasibility differs: cold %v, warm %v", spec.Name, ratio, errC, errW)
 			}

@@ -47,6 +47,27 @@ func twoPassSensitivity(m *delay.Model, pa *delay.Path, a float64, pinInserted b
 	return sweeps
 }
 
+// suitePaths returns the critical paths of the 11 suite circuits.
+func suitePaths(t *testing.T, m *delay.Model) []*delay.Path {
+	t.Helper()
+	var paths []*delay.Path
+	for _, spec := range iscas.Suite() {
+		c, err := iscas.Load(spec.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pa, _, err := sta.CriticalPath(c, m, sta.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, pa)
+	}
+	if len(paths) != 11 {
+		t.Fatalf("want 11 suite paths, got %d", len(paths))
+	}
+	return paths
+}
+
 // withBuffer returns a copy of pa with an inverter inserted after stage
 // idx and marked Inserted, taking over the stage's off-path load (the
 // structure buffering.InsertStage builds), sized at 3·CREF.
@@ -63,33 +84,23 @@ func withBuffer(m *delay.Model, pa *delay.Path, idx int) *delay.Path {
 // and sweep counts over the 11 suite critical paths and two synthetic
 // paths, each with and without an inserted buffer, pinned and
 // free, across sensitivities from the minimum-delay end (a = 0) to deep
-// in the area-saving range, under the Distribute defaults, the
-// frozen-buffer budget and two edge budgets, through a reused workspace
+// in the area-saving range, under the budgets of both search policies
+// and two edge budgets, through a reused workspace
 // and through none.
 func TestSensitivityKernelMatchesTwoPass(t *testing.T) {
 	m := model()
 	// A two-stage path exercises the slope term's end-of-path cut on
 	// stage 0 itself.
-	paths := []*delay.Path{mkPath(m.Proc, mixed, 120), mkPath(m.Proc, []gate.Type{gate.Nor2, gate.Inv}, 60)}
-	for _, spec := range iscas.Suite() {
-		c, err := iscas.Load(spec.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pa, _, err := sta.CriticalPath(c, m, sta.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		paths = append(paths, pa)
-	}
-	if len(paths) != 13 {
-		t.Fatalf("want 2 synthetic paths + 11 suite paths, got %d", len(paths))
-	}
-	budgets := []Options{
-		Options{}.withDefaults(),            // Distribute's defaults
-		{MaxSweeps: 120, Tol: 1e-10},        // the frozen-buffer solve
-		{MaxSweeps: 3, Tol: 1e-10},          // budget-bound: stops mid-convergence
-		{MaxSweeps: 140, Tol: math.Inf(+1)}, // converges on the first sweep
+	paths := append([]*delay.Path{mkPath(m.Proc, mixed, 120), mkPath(m.Proc, []gate.Type{gate.Nor2, gate.Inv}, 60)},
+		suitePaths(t, m)...)
+	budgets := []struct {
+		sweeps int
+		tol    float64
+	}{
+		{distributePolicy.sweeps, distributePolicy.tol},
+		{frozenPolicy.sweeps, frozenPolicy.tol},
+		{3, 1e-10},          // budget-bound: stops mid-convergence
+		{140, math.Inf(+1)}, // converges on the first sweep
 	}
 	ws := &Workspace{}
 	multiSweep := false
@@ -99,14 +110,13 @@ func TestSensitivityKernelMatchesTwoPass(t *testing.T) {
 				for _, a := range []float64{0, -1e-4, -0.02, -1} {
 					for bi, o := range budgets {
 						want := pa.Clone()
-						wantSweeps := twoPassSensitivity(m, want, a, pin, o.MaxSweeps, o.Tol)
+						wantSweeps := twoPassSensitivity(m, want, a, pin, o.sweeps, o.tol)
 						if wantSweeps > 1 {
 							multiSweep = true
 						}
 						for _, w := range []*Workspace{ws, nil} {
-							o.Workspace = w
 							got := pa.Clone()
-							sweeps := SolveSensitivity(m, got, a, pin, o)
+							sweeps := solveSensitivity(m, got, a, pin, o.sweeps, o.tol, w)
 							if sweeps != wantSweeps {
 								t.Fatalf("%s (%d stages) pin %v a %g budget %d: %d sweeps, two-pass %d",
 									pa.Name, pa.Len(), pin, a, bi, sweeps, wantSweeps)
@@ -140,9 +150,9 @@ func TestSensitivityKernelAblations(t *testing.T) {
 			for _, pa := range []*delay.Path{base, withBuffer(m, base, 4)} {
 				for _, a := range []float64{0, -0.02} {
 					want := pa.Clone()
-					wantSweeps := twoPassSensitivity(m, want, a, true, 120, 1e-10)
+					wantSweeps := twoPassSensitivity(m, want, a, true, frozenPolicy.sweeps, frozenPolicy.tol)
 					got := pa.Clone()
-					sweeps := SolveSensitivity(m, got, a, true, Options{MaxSweeps: 120, Tol: 1e-10})
+					sweeps := solveSensitivity(m, got, a, true, frozenPolicy.sweeps, frozenPolicy.tol, nil)
 					if sweeps != wantSweeps {
 						t.Fatalf("slope %v miller %v a %g: %d sweeps, two-pass %d", slope, miller, a, sweeps, wantSweeps)
 					}

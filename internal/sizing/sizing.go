@@ -27,20 +27,19 @@ import (
 var ErrInfeasible = errors.New("sizing: delay constraint below minimum achievable delay")
 
 const (
-	// searchIter bounds Distribute's bisection steps on the
-	// sensitivity a.
-	searchIter = 60
+	// maxSweeps and sweepTol bound the eq. (4) fixed point of Tmin and
+	// the eq. (6) solves of AtSensitivity and Distribute: at most 140
+	// sweeps, stopping once no size moves by 1e-9 relative.
+	maxSweeps = 140
+	sweepTol  = 1e-9
 	// delayTol is Distribute's relative tolerance on meeting the delay
 	// constraint.
 	delayTol = 1e-6
 )
 
-// Options tunes the iterative solvers. The zero value selects defaults.
+// Options selects what the solvers record and where they keep their
+// scratch. The zero value is ready to use.
 type Options struct {
-	// MaxSweeps bounds the link-equation fixed-point sweeps (default 140).
-	MaxSweeps int
-	// Tol is the relative convergence tolerance on sizes (default 1e-9).
-	Tol float64
 	// NoTrace suppresses the Result.Iterations bookkeeping of Tmin —
 	// the per-sweep trajectory only Fig. 1 consumes. Hot callers (the
 	// protocol's round loop, the batch engine) set it; the trace is
@@ -119,16 +118,6 @@ func (o Options) distResult() *Result {
 	return &Result{}
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxSweeps <= 0 {
-		o.MaxSweeps = 140
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-9
-	}
-	return o
-}
-
 // IterationPoint records one sweep of the Tmin fixed point for Fig. 1:
 // the normalized total input capacitance and the worst path delay.
 type IterationPoint struct {
@@ -173,8 +162,7 @@ func Tmin(m *delay.Model, pa *delay.Path, opts Options) (*Result, error) {
 
 // tmin is Tmin with the worst-edge polish optional: Distribute's
 // feasibility probe needs only the eq. (4) fixed point itself.
-func tmin(m *delay.Model, pa *delay.Path, opts Options, polish bool) (*Result, error) {
-	o := opts.withDefaults()
+func tmin(m *delay.Model, pa *delay.Path, o Options, polish bool) (*Result, error) {
 	if err := pa.Validate(); err != nil {
 		return nil, err
 	}
@@ -196,7 +184,7 @@ func tmin(m *delay.Model, pa *delay.Path, opts Options, polish bool) (*Result, e
 	}
 
 	// Gauss-Seidel sweeps of eq. (4) until the sizes stop moving.
-	for sweep := 1; sweep <= o.MaxSweeps; sweep++ {
+	for sweep := 1; sweep <= maxSweeps; sweep++ {
 		b = bcoefs(m, pa, o.Workspace)
 		maxRel := 0.0
 		for i := 1; i < n; i++ {
@@ -216,7 +204,7 @@ func tmin(m *delay.Model, pa *delay.Path, opts Options, polish bool) (*Result, e
 				Sweep: sweep, SumCInRef: pa.TotalCIn() / m.Proc.CRef, Delay: m.PathDelayWorst(pa),
 			})
 		}
-		if maxRel < o.Tol {
+		if maxRel < sweepTol {
 			break
 		}
 	}
@@ -297,18 +285,18 @@ func polishWorstEdge(m *delay.Model, pa *delay.Path, ev *delay.PathEval) {
 // form eq. (5) prints.
 func AreaWeight(st *delay.Stage) float64 { return float64(st.Cell.FanIn) }
 
-// SolveSensitivity sizes the path for a fixed sensitivity coefficient
+// solveSensitivity sizes the path for a fixed sensitivity coefficient
 // a ≤ 0 by iterating eq. (6): forward recursions
 //
 //	C_IN(i) = sqrt( A_i·L_i / (A_{i-1}/C_IN(i-1) − a·k_i) )
 //
 // until convergence (L_i depends on the downstream size, so a few outer
-// sweeps are needed), and returns the sweeps performed. Sizes are
-// clamped to the realizable drive range. With pinInserted the stages
-// marked Inserted keep their sizes (they still enter their neighbors'
-// loads and B coefficients). The sweep budget, tolerance and scratch
-// are opts' MaxSweeps, Tol and Workspace; zero values select the
-// defaults.
+// sweeps are needed), and returns the sweeps performed: at most budget,
+// stopping once no size moves by tol relative. Sizes are clamped to the
+// realizable drive range. With pinInserted the stages marked Inserted
+// keep their sizes (they still enter their neighbors' loads and B
+// coefficients). ws supplies the scale-factor scratch; nil allocates
+// it.
 //
 // Each sweep returns exactly what a two-pass sweep (BCoefficientsInto
 // over the sweep's starting sizes, then the recursion) returns, bit for
@@ -326,14 +314,13 @@ func AreaWeight(st *delay.Stage) float64 { return float64(st.Cell.FanIn) }
 // The B expression is written out in the loop rather than behind a
 // helper: a helper exceeds the inlining budget, and the call costs a
 // measurable share of the sweep.
-func SolveSensitivity(m *delay.Model, pa *delay.Path, a float64, pinInserted bool, opts Options) int {
-	o := opts.withDefaults()
+func solveSensitivity(m *delay.Model, pa *delay.Path, a float64, pinInserted bool, budget int, tol float64, ws *Workspace) int {
 	n := len(pa.Stages)
 	if n == 0 {
 		return 0
 	}
 	var h []float64
-	if ws := o.Workspace; ws != nil {
+	if ws != nil {
 		ws.h = slices.Grow(ws.h[:0], n)[:n]
 		h = ws.h
 	} else {
@@ -344,14 +331,14 @@ func SolveSensitivity(m *delay.Model, pa *delay.Path, a float64, pinInserted boo
 	}
 	slope, vt := m.SlopeEffect, m.VTMean()
 	sweeps := 0
-	for sweep := 1; sweep <= o.MaxSweeps; sweep++ {
+	for sweep := 1; sweep <= budget; sweep++ {
 		bPrev := h[0] * m.BMiller(pa.Stages[0].CIn, pa.LoadAt(0))
 		if slope && n > 1 {
 			bPrev += h[0] * vt
 		}
-		// The two-pass test is max(0, rel…) < Tol; with a NaN Tol it
+		// The two-pass test is max(0, rel…) < tol; with a NaN tol it
 		// never passes.
-		converged := o.Tol > 0
+		converged := tol > 0
 		for i := 1; i < n; i++ {
 			st := &pa.Stages[i]
 			b := h[i] * m.BMiller(st.CIn, pa.LoadAt(i))
@@ -369,7 +356,7 @@ func SolveSensitivity(m *delay.Model, pa *delay.Path, a float64, pinInserted boo
 				den = 1e-12
 			}
 			x := m.Proc.ClampCap(math.Sqrt(b * li / den))
-			if old := st.CIn; converged && old > 0 && math.Abs(x-old)/old >= o.Tol {
+			if old := st.CIn; converged && old > 0 && math.Abs(x-old)/old >= tol {
 				converged = false
 			}
 			st.CIn = x
@@ -387,15 +374,14 @@ func SolveSensitivity(m *delay.Model, pa *delay.Path, a float64, pinInserted boo
 // a given coefficient a ≤ 0 and reports the resulting delay and area —
 // one point of the paper's Fig. 3 family.
 func AtSensitivity(m *delay.Model, pa *delay.Path, a float64, opts Options) (*Result, error) {
-	o := opts.withDefaults()
 	if err := pa.Validate(); err != nil {
 		return nil, err
 	}
 	if a > 0 {
 		return nil, fmt.Errorf("sizing: sensitivity coefficient must be ≤ 0, got %g", a)
 	}
-	sweeps := SolveSensitivity(m, pa, a, false, o)
-	res := o.distResult()
+	sweeps := solveSensitivity(m, pa, a, false, maxSweeps, sweepTol, opts.Workspace)
+	res := opts.distResult()
 	res.Delay = m.PathDelayWorst(pa)
 	res.MeanDelay = m.PathDelayMean(pa)
 	res.Area = pa.Area(m.Proc)
@@ -404,12 +390,88 @@ func AtSensitivity(m *delay.Model, pa *delay.Path, a float64, opts Options) (*Re
 	return res, nil
 }
 
+// searchPolicy is one caller's settings of search. The two policies
+// below are the only ones; changing a field changes numbers
+// (docs/ARCHITECTURE.md "Changing numbers").
+type searchPolicy struct {
+	cold    float64 // first expansion probe when no warm start is known
+	tighten bool    // expansion probes that meet tc become aHi
+	steps   int     // bisection step budget
+	stopTol float64 // stop once |d−tc| ≤ stopTol·tc; 0 never stops early
+	sweeps  int     // eq. (6) sweep budget of each solve
+	tol     float64 // eq. (6) relative size tolerance of each solve
+	pin     bool    // inserted stages keep their sizes
+}
+
+var (
+	// distributePolicy is Distribute's: a short bisection that stops
+	// as soon as the delay is within delayTol of tc, every stage free.
+	distributePolicy = searchPolicy{cold: -0.02, steps: 60, stopTol: delayTol, sweeps: maxSweeps, tol: sweepTol}
+	// frozenPolicy is DistributeFrozen's: a warm-started bracket and a
+	// fixed 70 steps under a tighter solve, the inserted stages pinned.
+	frozenPolicy = searchPolicy{cold: -1e-4, tighten: true, steps: 70, sweeps: 120, tol: 1e-10, pin: true}
+)
+
+// probe solves the path at sensitivity a under policy p and returns its
+// worst-edge delay.
+//
+//pops:noalloc
+func probe(m *delay.Model, pa *delay.Path, a float64, p *searchPolicy, ws *Workspace) float64 {
+	solveSensitivity(m, pa, a, p.pin, p.sweeps, p.tol, ws)
+	return m.PathDelayWorst(pa)
+}
+
+// search finds the sensitivity a ≤ 0 at which the path's worst-edge
+// delay meets tc, under policy p. The delay rises as a falls, and the
+// caller has checked that a = 0 meets tc.
+//
+// The bracket's lower end starts at a quarter of aStart, a known
+// sensitivity of a nearby problem (0 for none), or at p.cold if that is
+// closer to 0, and expands ×4 until a probe's delay reaches tc. With
+// p.tighten every probe that still meets tc becomes the upper end, in
+// place of 0. If 64 expansions never reach tc, every stage has clamped
+// to its minimum drive: search returns the last lower end without
+// bisecting. Otherwise it bisects p.steps times and returns the upper
+// end, or the probe whose delay lands within p.stopTol·tc.
+//
+// Every solve starts from the previous probe's sizes. The path is left
+// solved again at the returned a; sweeps is that solve's count.
+//
+//pops:noalloc
+func search(m *delay.Model, pa *delay.Path, tc, aStart float64, p *searchPolicy, ws *Workspace) (a float64, sweeps int) {
+	aLo, aHi := min(aStart/4, p.cold), 0.0
+	expansions := 0
+	for ; expansions < 64 && probe(m, pa, aLo, p, ws) < tc; expansions++ {
+		if p.tighten {
+			aHi = aLo
+		}
+		aLo *= 4
+	}
+	a = aLo
+	if expansions < 64 {
+		for range p.steps {
+			mid := (aLo + aHi) / 2
+			d := probe(m, pa, mid, p, ws)
+			if d > tc {
+				aLo = mid
+			} else {
+				aHi = mid
+			}
+			if p.stopTol > 0 && math.Abs(d-tc) <= p.stopTol*tc {
+				aHi = mid
+				break
+			}
+		}
+		a = aHi
+	}
+	return a, solveSensitivity(m, pa, a, p.pin, p.sweeps, p.tol, ws)
+}
+
 // Distribute implements the paper's constraint-distribution step: size
 // the path so its worst-edge delay meets the constraint tc (ps) at
 // minimum area, by searching the sensitivity coefficient a. It returns
 // ErrInfeasible when tc < Tmin (structure modification required).
 func Distribute(m *delay.Model, pa *delay.Path, tc float64, opts Options) (*Result, error) {
-	o := opts.withDefaults()
 	if err := pa.Validate(); err != nil {
 		return nil, err
 	}
@@ -444,8 +506,10 @@ func Distribute(m *delay.Model, pa *delay.Path, tc float64, opts Options) (*Resu
 
 	// If even the all-minimum configuration meets tc, take it: maximum
 	// area saving (the sensitivity family degenerates to the clamp).
+	// Past this check the search cannot saturate: as a → −∞ every
+	// stage clamps to CREF, which is the Tmax configuration.
 	var snapshot []float64
-	if ws := o.Workspace; ws != nil {
+	if ws := opts.Workspace; ws != nil {
 		ws.sizes = pa.AppendSizes(ws.sizes[:0])
 		snapshot = ws.sizes
 	} else {
@@ -453,7 +517,7 @@ func Distribute(m *delay.Model, pa *delay.Path, tc float64, opts Options) (*Resu
 	}
 	tmax := Tmax(m, pa)
 	if tmax <= tc {
-		res := o.distResult()
+		res := opts.distResult()
 		res.Delay = tmax
 		res.MeanDelay = m.PathDelayMean(pa)
 		res.Area = pa.Area(m.Proc)
@@ -464,67 +528,37 @@ func Distribute(m *delay.Model, pa *delay.Path, tc float64, opts Options) (*Resu
 		return nil, err
 	}
 
-	// Bracket: T(a) increases as a becomes more negative. Expand aLo
-	// until T(aLo) ≥ tc.
-	aLo := -0.02
-	var lastDelay float64
-	for range [64]int{} {
-		r, err := AtSensitivity(m, pa, aLo, opts)
-		if err != nil {
-			return nil, err
-		}
-		lastDelay = r.Delay
-		if lastDelay >= tc {
-			break
-		}
-		aLo *= 4
-	}
-	if lastDelay < tc {
-		// Clamping saturated the family before reaching tc; the
-		// all-minimum case above should have caught this, but guard.
-		return AtSensitivity(m, pa, aLo, opts)
-	}
-
-	// Bisection between aLo (delay ≥ tc) and aHi = 0 (delay = Tmin < tc).
-	// Only the accepted coefficient is tracked (not the Result pointer):
-	// probe results may live in a shared workspace slot, and the value
-	// is all the epilogue needs.
-	aHi := 0.0
-	bestA := aHi
-	for iter := 0; iter < searchIter; iter++ {
-		mid := (aLo + aHi) / 2
-		r, err := AtSensitivity(m, pa, mid, opts)
-		if err != nil {
-			return nil, err
-		}
-		if r.Delay > tc {
-			aLo = mid
-		} else {
-			aHi = mid
-			bestA = mid
-		}
-		if math.Abs(r.Delay-tc) <= delayTol*tc {
-			bestA = mid
-			break
-		}
-	}
-	// Re-solve at the accepted coefficient so the path state matches
-	// the returned result (the last bisection probe may have been a
-	// rejected one).
-	r, err := AtSensitivity(m, pa, bestA, opts)
-	if err != nil {
-		return nil, err
-	}
+	a, sweeps := search(m, pa, tc, 0, &distributePolicy, opts.Workspace)
 	// Area trim: the family is stationary for the frozen-coefficient
 	// mean model; a constrained coordinate descent on the exact
 	// worst-edge delay recovers the last few percent of area. The
 	// feasible set in each coordinate is an interval (convexity), so
 	// per-stage bisection toward the lower boundary is sound.
-	trimArea(m, pa, tc, o.Workspace.PathEval())
-	r.Delay = m.PathDelayWorst(pa)
-	r.MeanDelay = m.PathDelayMean(pa)
-	r.Area = pa.Area(m.Proc)
-	return r, nil
+	trimArea(m, pa, tc, opts.Workspace.PathEval())
+	res := opts.distResult()
+	res.Delay = m.PathDelayWorst(pa)
+	res.MeanDelay = m.PathDelayMean(pa)
+	res.Area = pa.Area(m.Proc)
+	res.Sweeps = sweeps
+	res.A = a
+	return res, nil
+}
+
+// DistributeFrozen distributes the delay constraint tc over the path's
+// original stages while the stages marked Inserted keep their sizes:
+// the frozen-buffer solve of Local-mode buffer insertion. It first
+// solves at a = 0, the family's minimum delay; if that misses tc it
+// returns that solve and false. Otherwise it searches a from aStart, a
+// known sensitivity of a nearby problem or 0 for none, and returns the
+// path solved at the accepted a and true. ws may be nil.
+func DistributeFrozen(m *delay.Model, pa *delay.Path, tc, aStart float64, ws *Workspace) (Result, bool) {
+	var r Result
+	ok := probe(m, pa, 0, &frozenPolicy, ws) <= tc
+	if ok {
+		r.A, r.Sweeps = search(m, pa, tc, aStart, &frozenPolicy, ws)
+	}
+	r.Delay, r.MeanDelay, r.Area = m.PathDelayWorst(pa), m.PathDelayMean(pa), pa.Area(m.Proc)
+	return r, ok
 }
 
 // trimArea shrinks each stage toward the smallest size that keeps the

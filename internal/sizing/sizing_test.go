@@ -339,10 +339,3 @@ func TestDistributeRespectsFirstStage(t *testing.T) {
 		t.Fatal("bounded first stage was resized")
 	}
 }
-
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.MaxSweeps <= 0 || o.Tol <= 0 {
-		t.Fatalf("defaults not filled: %+v", o)
-	}
-}
