@@ -19,15 +19,16 @@
 //
 // Circuits are either ISCAS'85 .bench files (elaborated onto the
 // primitive library on load) or named members of the paper's benchmark
-// suite. The optimize and sweep subcommands feed a -bench file through
-// the batch engine's hardened ingestion pass — the same path as
-// POST /v1/optimize {"bench": …} and pops.OptimizeBench, with results
-// byte-identical across all three entry points.
+// suite. The optimize, leakage and sweep subcommands run as batch
+// engine requests and feed a -bench file through the engine's hardened
+// ingestion pass — the same path as POST /v1/optimize {"bench": …} and
+// pops.OptimizeBench, with results byte-identical across all three
+// entry points.
 //
-// optimize and sweep accept -data-dir: a durable result cache shared
-// across invocations (and with a popsd running on the same directory),
-// so repeating a (circuit, Tc) request serves the persisted record
-// instead of recomputing.
+// The engine-backed subcommands accept -data-dir: a durable result
+// cache shared across invocations (and with a popsd running on the
+// same directory), so repeating a (circuit, Tc) request serves the
+// persisted record instead of recomputing.
 package main
 
 import (
@@ -58,7 +59,7 @@ func main() {
 	k := fs.Int("k", 3, "number of worst paths to report (analyze)")
 	points := fs.Int("points", 11, "Tc grid size (sweep)")
 	addr := fs.String("addr", "http://localhost:8080", "base URL of a running popsd (metrics)")
-	dataDir := fs.String("data-dir", "", "durable result cache shared across invocations (optimize, sweep)")
+	dataDir := fs.String("data-dir", "", "durable result cache shared across invocations (optimize, leakage, sweep)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
@@ -136,11 +137,11 @@ func printPower(w io.Writer, c *pops.Circuit, proc *pops.Process) error {
 	return nil
 }
 
-// newEngine builds the batch engine behind optimize and sweep, with a
-// durable result tier under dataDir when one is given: a later pops
-// run (or a popsd started on the same directory) serves repeated
-// (circuit, Tc) results from disk instead of recomputing. The returned
-// closer flushes and releases the tier.
+// newEngine builds the batch engine behind optimize, leakage and
+// sweep, with a durable result tier under dataDir when one is given: a
+// later pops run (or a popsd started on the same directory) serves
+// repeated (circuit, Tc) results from disk instead of recomputing. The
+// returned closer flushes and releases the tier.
 func newEngine(dataDir string) (*pops.Engine, func(), error) {
 	if dataDir == "" {
 		eng, err := pops.NewEngine(pops.EngineConfig{})
@@ -177,13 +178,13 @@ func run(w io.Writer, cmd, benchFile, circuit, addr, dataDir string, tc, ratio f
 		_, err = io.Copy(w, resp.Body)
 		return err
 
-	case "optimize":
+	case "optimize", "leakage":
 		bench, name, err := engineSource(benchFile, circuit)
 		if err != nil {
 			return err
 		}
 		if tc == 0 && ratio == 0 {
-			return fmt.Errorf("optimize needs -tc or -ratio")
+			return fmt.Errorf("%s needs -tc or -ratio", cmd)
 		}
 		eng, closeStore, err := newEngine(dataDir)
 		if err != nil {
@@ -191,7 +192,7 @@ func run(w io.Writer, cmd, benchFile, circuit, addr, dataDir string, tc, ratio f
 		}
 		defer closeStore()
 		res, err := eng.Optimize(context.Background(), pops.OptimizeRequest{
-			Circuit: name, Bench: bench, Tc: tc, Ratio: ratio,
+			Circuit: name, Bench: bench, Tc: tc, Ratio: ratio, Leakage: cmd == "leakage",
 		})
 		if err != nil {
 			return err
@@ -200,6 +201,16 @@ func run(w io.Writer, cmd, benchFile, circuit, addr, dataDir string, tc, ratio f
 		fmt.Fprintf(w, "constraint: %.1f ps\n", res.Tc)
 		fmt.Fprintf(w, "result: delay %.1f ps, circuit area %.1f µm, feasible=%v\n",
 			out.Delay, out.Area, out.Feasible)
+		if lr := out.Leakage; lr != nil {
+			fmt.Fprintf(w, "multi-Vt: %d of %d candidates promoted\n", lr.Promoted, lr.Considered)
+			t := report.NewTable("Vt census", "Class", "Gates")
+			for _, cls := range []pops.VtClass{pops.LVT, pops.SVT, pops.HVT} {
+				t.AddRow(cls.String(), lr.ByClass[cls])
+			}
+			fmt.Fprint(w, t.String())
+			fmt.Fprint(w, report.PowerBreakdown(lr.DynamicUW, lr.StaticBeforeUW, lr.StaticAfterUW).String())
+			return nil
+		}
 		fmt.Fprintf(w, "rounds=%d buffers=%d nor-rewrites=%d\n",
 			out.Rounds, out.Buffers, out.NorRewrites)
 		for i, po := range out.PathOutcomes {
@@ -301,42 +312,6 @@ func run(w io.Writer, cmd, benchFile, circuit, addr, dataDir string, tc, ratio f
 		fmt.Fprintf(w, "Tmin = %.1f ps   Tmax = %.1f ps\n", b.Tmin, b.Tmax)
 		fmt.Fprintf(w, "domains: hard < %.1f ps ≤ medium ≤ %.1f ps < weak\n",
 			1.2*b.Tmin, 2.5*b.Tmin)
-		return nil
-
-	case "leakage":
-		pa, _, err := pops.CriticalPath(c, model)
-		if err != nil {
-			return err
-		}
-		if tc == 0 {
-			if ratio == 0 {
-				return fmt.Errorf("leakage needs -tc or -ratio")
-			}
-			b, err := pops.Bounds(model, pa.Clone())
-			if err != nil {
-				return err
-			}
-			tc = ratio * b.Tmin
-		}
-		proto, err := pops.NewProtocol(pops.ProtocolConfig{Model: model})
-		if err != nil {
-			return err
-		}
-		out, err := proto.Optimize(context.Background(), proto.NewTimingSession(c), tc, &pops.LeakageOptions{}, nil)
-		if err != nil {
-			return err
-		}
-		lr := out.Leakage
-		fmt.Fprintf(w, "constraint: %.1f ps\n", tc)
-		fmt.Fprintf(w, "result: delay %.1f ps, circuit area %.1f µm, feasible=%v\n",
-			out.Delay, out.Area, out.Feasible)
-		fmt.Fprintf(w, "multi-Vt: %d of %d candidates promoted\n", lr.Promoted, lr.Considered)
-		t := report.NewTable("Vt census", "Class", "Gates")
-		for _, cls := range []pops.VtClass{pops.LVT, pops.SVT, pops.HVT} {
-			t.AddRow(cls.String(), lr.ByClass[cls])
-		}
-		fmt.Fprint(w, t.String())
-		fmt.Fprint(w, report.PowerBreakdown(lr.DynamicUW, lr.StaticBeforeUW, lr.StaticAfterUW).String())
 		return nil
 
 	case "power":

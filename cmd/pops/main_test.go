@@ -195,27 +195,31 @@ func TestMetricsSubcommand(t *testing.T) {
 	}
 }
 
-// TestOptimizeDataDirWarmCache: two optimize runs over the same
-// -data-dir print byte-identical reports, the second served from the
-// records the first persisted — the CLI face of the durable result
-// tier.
+// TestOptimizeDataDirWarmCache: two optimize (or leakage) runs over
+// the same -data-dir print byte-identical reports, the second served
+// from the records the first persisted — the CLI face of the durable
+// result tier.
 func TestOptimizeDataDirWarmCache(t *testing.T) {
-	dir := t.TempDir()
-	var first, second bytes.Buffer
-	if err := run(&first, "optimize", "", "fpd", "", dir, 0, 1.3, 3, 11); err != nil {
-		t.Fatal(err)
-	}
-	psr, err := filepath.Glob(filepath.Join(dir, "results", "*.psr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(psr) == 0 {
-		t.Fatal("optimize -data-dir persisted no records")
-	}
-	if err := run(&second, "optimize", "", "fpd", "", dir, 0, 1.3, 3, 11); err != nil {
-		t.Fatal(err)
-	}
-	if first.String() != second.String() {
-		t.Errorf("warm -data-dir run differs:\ncold:\n%s\nwarm:\n%s", first.String(), second.String())
+	for _, cmd := range []string{"optimize", "leakage"} {
+		t.Run(cmd, func(t *testing.T) {
+			dir := t.TempDir()
+			var first, second bytes.Buffer
+			if err := run(&first, cmd, "", "fpd", "", dir, 0, 1.3, 3, 11); err != nil {
+				t.Fatal(err)
+			}
+			psr, err := filepath.Glob(filepath.Join(dir, "results", "*.psr"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(psr) == 0 {
+				t.Fatalf("%s -data-dir persisted no records", cmd)
+			}
+			if err := run(&second, cmd, "", "fpd", "", dir, 0, 1.3, 3, 11); err != nil {
+				t.Fatal(err)
+			}
+			if first.String() != second.String() {
+				t.Errorf("warm -data-dir run differs:\ncold:\n%s\nwarm:\n%s", first.String(), second.String())
+			}
+		})
 	}
 }

@@ -190,10 +190,31 @@ func scrapeCounter(t *testing.T, base, name string) float64 {
 }
 
 type jobView struct {
-	ID        string `json:"id"`
-	Kind      string `json:"kind"`
-	Status    string `json:"status"`
-	RequestID string `json:"request_id"`
+	ID        string    `json:"id"`
+	Kind      string    `json:"kind"`
+	Status    string    `json:"status"`
+	RequestID string    `json:"request_id"`
+	Started   time.Time `json:"started"`
+	Finished  time.Time `json:"finished"`
+}
+
+// getJob reads one job's snapshot off GET /v1/jobs/{id}.
+func getJob(t *testing.T, base, id string) jobView {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET job %s: status %d body %.300s", id, resp.StatusCode, data)
+	}
+	var j jobView
+	if err := json.Unmarshal(data, &j); err != nil {
+		t.Fatalf("GET job %s: %v in %.300s", id, err, data)
+	}
+	return j
 }
 
 // waitJobsSettled polls /v1/jobs until every job reached a terminal
@@ -270,9 +291,13 @@ func TestCrashRecovery(t *testing.T) {
 	}
 
 	// Submit a long async job — journaled and running, nowhere near
-	// done — then SIGKILL the daemon under it.
+	// done — then SIGKILL the daemon under it. The kill follows the
+	// first poll that sees the job running, so only the job's own run
+	// time (hundreds of milliseconds: none of its 12 cells is memoized,
+	// and c5315/c7552 are the suite's largest) separates the kill from
+	// completion, never a fixed sleep.
 	req, err := http.NewRequest(http.MethodPost, base1+"/v1/suite",
-		strings.NewReader(`{"benchmarks":["c880","c1355"],"ratios":[1.2,1.5,2.0]}`))
+		strings.NewReader(`{"benchmarks":["c880","c1355","c5315","c7552"],"ratios":[1.2,1.5,2.0]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +307,25 @@ func TestCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var accepted jobView
+	err = json.NewDecoder(resp.Body).Decode(&accepted)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("async suite submit: status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusAccepted || err != nil || accepted.ID == "" {
+		t.Fatalf("async suite submit: status %d, job %+v, decode error %v", resp.StatusCode, accepted, err)
 	}
-	time.Sleep(150 * time.Millisecond)
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		j := getJob(t, base1, accepted.ID)
+		if j.Status == "running" {
+			break
+		}
+		if j.Status != "pending" {
+			t.Fatalf("job %s reached %q before the kill; it must still be running", j.ID, j.Status)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never started running", j.ID)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if err := child1.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -321,6 +360,10 @@ func TestCrashRecovery(t *testing.T) {
 	if replayed.Kind != "suite" || replayed.Status != "done" {
 		t.Fatalf("replayed job = %+v, want a finished suite job", *replayed)
 	}
+	// The replay's run time is a lower bound on the killed job's (cells
+	// flushed before the kill are served from disk): the margin the
+	// kill had over the job's completion.
+	t.Logf("replayed job %s ran %v", replayed.ID, replayed.Finished.Sub(replayed.Started))
 
 	if !strings.Contains(log2.String(), "skipping corrupt record") {
 		t.Errorf("reboot did not log the injected corrupt record skip; log:\n%s", log2.String())

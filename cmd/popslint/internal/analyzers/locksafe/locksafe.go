@@ -5,7 +5,7 @@
 //   - No blocking operation while a mutex is held. A channel send or
 //     receive, a select without a default, sync.WaitGroup.Wait,
 //     sync.Cond.Wait, time.Sleep, or a call into a store tier
-//     (Get/Put/Delete/Scan/Flush/Append/…) can stall indefinitely;
+//     (Get/Put/Flush/Append/Close/…) can stall indefinitely;
 //     holding s.mu across one turns a slow disk or a stuck peer into
 //     a frozen daemon. The engine's own convention is snapshot-under-
 //     lock, block-after-unlock (jobs.Await, Cache.Result), and this
@@ -52,7 +52,7 @@ const StorePath = "repro/internal/store"
 // storeMethods are the tier entry points counted as blocking when
 // called with a lock held.
 var storeMethods = map[string]bool{
-	"Get": true, "Put": true, "Delete": true, "Scan": true,
+	"Get": true, "Put": true,
 	"Flush": true, "Close": true, "Append": true, "Sync": true,
 	"Replay": true, "Rewrite": true, "Len": true,
 }

@@ -11,7 +11,6 @@ import (
 type Store interface {
 	Get(key string) ([]byte, error)
 	Put(key string, value []byte) error
-	Delete(key string) error
 }
 
 type Batcher struct {

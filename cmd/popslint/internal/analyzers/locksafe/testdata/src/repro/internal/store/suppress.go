@@ -8,7 +8,7 @@ func (b *Batcher) flushHeld(keys []string) error {
 	defer b.writeMu.Unlock()
 	for _, k := range keys {
 		//popslint:ignore locksafe writeMu exists to serialize tier writes; nothing else ever waits on it
-		if err := b.under.Delete(k); err != nil {
+		if err := b.under.Put(k, b.pending[k]); err != nil {
 			return err
 		}
 	}

@@ -11,7 +11,7 @@
 //
 //   - append to a variable declared outside the loop, unless the
 //     accumulator is later passed to a sort.*/slices.* call in the
-//     same function (the collect-then-sort idiom store.Scan uses);
+//     same function (the collect-then-sort idiom);
 //   - a return statement whose values mention the iteration
 //     variables: which element wins depends on the shuffle;
 //   - floating-point or string accumulation (+=) into outer state:

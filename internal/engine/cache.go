@@ -1,13 +1,13 @@
 // Characterization cache: the engine memoizes every reusable
-// sub-problem of the protocol — the library Flimit table of a process
-// corner (the Fig. 7 "library characterization" step, shared by every
-// job on that corner), the Tmin/Tmax delay bounds of a path (shared by
-// every Tc point of a sweep and by repeated submissions of the same
-// circuit), and whole (circuit, Tc, leakage flag) task results
+// sub-problem of the protocol — the Tmin/Tmax delay bounds of a path
+// (shared by every Tc point of a sweep and by repeated submissions of
+// the same circuit) and whole (circuit, Tc, leakage flag) task results
 // (shared by repeated submissions — the common case for a long-running
 // daemon). Entries are computed once under a per-key latch, so
 // concurrent workers hitting the same key block on one computation
-// instead of duplicating it.
+// instead of duplicating it. The library Flimit table (the Fig. 7
+// "library characterization" step) needs no entry: the engine's one
+// protocol computes it once (Engine.protocol).
 package engine
 
 import (
@@ -17,10 +17,8 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/buffering"
 	"repro/internal/core"
 	"repro/internal/delay"
-	"repro/internal/gate"
 	"repro/internal/netlist"
 	"repro/internal/store"
 )
@@ -41,8 +39,7 @@ type boundsKey string
 // value is not usable; call NewCache. A Cache is safe for concurrent
 // use and is shared by all workers of an Engine.
 type Cache struct {
-	mu     sync.Mutex
-	limits map[string]*limitsEntry
+	mu sync.Mutex
 
 	// Path-bounds memo, bounded FIFO: its keys derive from
 	// client-supplied netlists, so like the result memo it must not
@@ -76,14 +73,6 @@ type Cache struct {
 	tier store.Store
 }
 
-// limitsEntry latches one library characterization (Flimit table rows
-// and the derived per-gate limit map) for a process corner.
-type limitsEntry struct {
-	once    sync.Once
-	entries []buffering.TableEntry
-	limits  map[gate.Type]float64
-}
-
 // boundsEntry latches the bounds solve of one path shape.
 type boundsEntry struct {
 	once sync.Once
@@ -113,7 +102,6 @@ const (
 // NewCache returns an empty characterization cache.
 func NewCache() *Cache {
 	return &Cache{
-		limits:  make(map[string]*limitsEntry),
 		bounds:  make(map[boundsKey]*boundsEntry),
 		results: make(map[taskKey]*resultEntry),
 		aliases: make(map[string]string),
@@ -142,30 +130,6 @@ func (ca *Cache) Alias(name string, fp func() (string, error)) (string, error) {
 	ca.aliases[name] = k
 	ca.mu.Unlock()
 	return k, nil
-}
-
-// Characterization returns the memoized library characterization of
-// the model's process corner: the Table 2 rows (gate, driver, Flimit)
-// and the per-gate insertion-limit map consumed by the protocol.
-func (ca *Cache) Characterization(m *delay.Model) ([]buffering.TableEntry, map[gate.Type]float64) {
-	ca.mu.Lock()
-	e, ok := ca.limits[m.Proc.Name]
-	if !ok {
-		e = &limitsEntry{}
-		ca.limits[m.Proc.Name] = e
-	}
-	ca.mu.Unlock()
-	e.once.Do(func() {
-		e.entries = buffering.CharacterizeLibrary(m, nil, buffering.Options{})
-		e.limits = buffering.Limits(e.entries)
-	})
-	return e.entries, e.limits
-}
-
-// Limits returns the memoized Flimit lookup for the model's corner.
-func (ca *Cache) Limits(m *delay.Model) map[gate.Type]float64 {
-	_, lim := ca.Characterization(m)
-	return lim
 }
 
 // Bounds returns the memoized bounds solve of a path, keyed by process
@@ -344,9 +308,10 @@ func resultKey(proc, circuit string, req OptimizeRequest) taskKey {
 }
 
 // leakKeySuffix ends the key of a leakage-aware task: the zero
-// leakage.Options the engine runs, spelled out field by field
-// (frequency, vectors, seed, input activity, entry transition, SVT
-// cap, promotion ceiling).
+// leakage.Options the engine runs, spelled out over the field list
+// leakage.Options had when the key format was fixed. The suffix is
+// frozen: fields deleted from leakage.Options since then still appear
+// here, so existing records keep their addresses (TestResultKeyBytes).
 const leakKeySuffix = "|leak|0|0|0|0|0|false|0"
 
 // PathSignature returns a stable fingerprint of a path's optimization

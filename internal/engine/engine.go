@@ -106,8 +106,8 @@ func (e *Engine) Metrics() *Metrics { return e.metrics }
 // snapshots around each task.
 func (e *Engine) MetricsSnapshot() obs.Snapshot { return e.metrics.reg.Snapshot() }
 
-// protocol returns the shared protocol instance, characterizing the
-// library through the cache on first use.
+// protocol returns the shared protocol instance, built on first use:
+// core.NewProtocol characterizes the library then, once per engine.
 func (e *Engine) protocol() (*core.Protocol, error) {
 	e.muProto.Lock()
 	defer e.muProto.Unlock()
@@ -116,7 +116,6 @@ func (e *Engine) protocol() (*core.Protocol, error) {
 	}
 	p, err := core.NewProtocol(core.Config{
 		Model:    e.model,
-		Limits:   e.cache.Limits(e.model),
 		Recorder: e.metrics.coreRec,
 	})
 	if err != nil {

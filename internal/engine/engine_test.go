@@ -271,30 +271,6 @@ func TestPathSignatureSensitivity(t *testing.T) {
 	}
 }
 
-func TestCacheLimitsSharedWithProtocol(t *testing.T) {
-	e := newEngine(t, 1)
-	lim := e.cache.Limits(e.Model())
-	if len(lim) == 0 {
-		t.Fatal("empty Flimit table")
-	}
-	p, err := e.protocol()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%p", p.Limits()) == "" {
-		t.Fatal("unreachable")
-	}
-	for gt, f := range lim {
-		if p.Limits()[gt] != f {
-			t.Fatalf("protocol limit for %v diverged from cache", gt)
-		}
-	}
-	entries, _ := e.cache.Characterization(e.Model())
-	if len(entries) != len(lim) {
-		t.Fatalf("entries %d vs limits %d", len(entries), len(lim))
-	}
-}
-
 // dumpOutcome renders a CircuitOutcome canonically: %v on float64
 // prints the shortest decimal that uniquely round-trips the bits (and
 // fmt sorts the Vt census map), so two dumps are byte-identical iff

@@ -179,7 +179,11 @@ func TestStoreEquivalenceGolden(t *testing.T) {
 // a cold task is a store miss plus a write; the same task on a fresh
 // engine sharing the store is a hit and computes nothing.
 func TestStoreMetricsAccounting(t *testing.T) {
-	shared := store.NewMemory()
+	shared, err := store.OpenDisk(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shared.Close()
 
 	cold := newStoreEngine(t, shared)
 	if _, err := cold.Optimize(context.Background(), OptimizeRequest{Circuit: "fpd", Ratio: 1.5}); err != nil {

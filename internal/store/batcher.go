@@ -18,20 +18,15 @@ import (
 	"time"
 )
 
-// Batcher defaults.
-const (
-	// DefaultMaxPending triggers a flush when this many coalesced keys
-	// are pending.
-	DefaultMaxPending = 64
-	// DefaultFlushInterval is the periodic flush cadence.
-	DefaultFlushInterval = time.Second
-)
+// maxPending triggers a flush when this many coalesced keys are
+// pending.
+const maxPending = 64
+
+// DefaultFlushInterval is the periodic flush cadence.
+const DefaultFlushInterval = time.Second
 
 // BatcherOptions tunes a Batcher. The zero value selects the defaults.
 type BatcherOptions struct {
-	// MaxPending flushes when the pending batch reaches this many keys
-	// (default DefaultMaxPending).
-	MaxPending int
 	// FlushInterval is the periodic flush cadence (default
 	// DefaultFlushInterval).
 	FlushInterval time.Duration
@@ -56,7 +51,7 @@ type Batcher struct {
 	pending map[string][]byte
 	closed  bool
 
-	writeMu sync.Mutex // orders flush writes against Deletes
+	writeMu sync.Mutex // orders racing flushes' writes
 
 	kick chan struct{}
 	stop chan struct{}
@@ -68,9 +63,6 @@ type Batcher struct {
 // NewBatcher wraps under in a write-behind batcher and starts its
 // flush goroutine.
 func NewBatcher(under Store, opts BatcherOptions) *Batcher {
-	if opts.MaxPending <= 0 {
-		opts.MaxPending = DefaultMaxPending
-	}
 	if opts.FlushInterval <= 0 {
 		opts.FlushInterval = DefaultFlushInterval
 	}
@@ -137,7 +129,7 @@ func (b *Batcher) Put(key string, value []byte) error {
 		return ErrClosed
 	}
 	b.pending[key] = append([]byte(nil), value...)
-	full := len(b.pending) >= b.opts.MaxPending
+	full := len(b.pending) >= maxPending
 	b.mu.Unlock()
 	if full {
 		select {
@@ -146,38 +138,6 @@ func (b *Batcher) Put(key string, value []byte) error {
 		}
 	}
 	return nil
-}
-
-// Delete implements Store: the key leaves the pending batch and the
-// underlying store synchronously (ordered against in-flight flushes,
-// so a concurrent flush of an older value cannot resurrect it).
-func (b *Batcher) Delete(key string) error {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return ErrClosed
-	}
-	delete(b.pending, key)
-	b.mu.Unlock()
-	b.writeMu.Lock()
-	defer b.writeMu.Unlock()
-	//popslint:ignore locksafe writeMu exists solely to order tier writes; only Flush and Delete take it, and neither holds b.mu here, so Puts never stall behind this write
-	return b.under.Delete(key)
-}
-
-// Scan implements Store: it flushes first so the underlying scan sees
-// every accepted write.
-func (b *Batcher) Scan(fn func(key string, value []byte) error) error {
-	b.mu.Lock()
-	closed := b.closed
-	b.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	if err := b.Flush(); err != nil {
-		return err
-	}
-	return b.under.Scan(fn)
 }
 
 // Flush writes the pending batch to the underlying store, in sorted
@@ -223,7 +183,7 @@ func sortedKeys(m map[string][]byte) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	// Insertion sort: batches are small (MaxPending), and the sort runs
+	// Insertion sort: batches are small (maxPending), and the sort runs
 	// off the hot path.
 	for i := 1; i < len(keys); i++ {
 		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {

@@ -9,9 +9,41 @@ import (
 	"time"
 )
 
+// mapStore is a map-backed Store: the batcher's underlying tier
+// without the filesystem.
+type mapStore struct {
+	mu sync.Mutex
+	m  map[string][]byte
+}
+
+func newMapStore() *mapStore { return &mapStore{m: make(map[string][]byte)} }
+
+func (s *mapStore) Get(key string) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v, ok := s.m[key]
+	if !ok {
+		return nil, ErrNotFound
+	}
+	return append([]byte(nil), v...), nil
+}
+
+func (s *mapStore) Put(key string, value []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.m[key] = append([]byte(nil), value...)
+	return nil
+}
+
+func (s *mapStore) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.m)
+}
+
 func TestBatcherCoalescesAndFlushes(t *testing.T) {
-	mem := NewMemory()
-	b := NewBatcher(mem, BatcherOptions{MaxPending: 1000, FlushInterval: time.Hour})
+	mem := newMapStore()
+	b := NewBatcher(mem, BatcherOptions{FlushInterval: time.Hour})
 	for i := 0; i < 10; i++ {
 		if err := b.Put("hot", []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
@@ -44,16 +76,16 @@ func TestBatcherCoalescesAndFlushes(t *testing.T) {
 }
 
 func TestBatcherSizeTriggeredFlush(t *testing.T) {
-	mem := NewMemory()
-	b := NewBatcher(mem, BatcherOptions{MaxPending: 4, FlushInterval: time.Hour})
+	mem := newMapStore()
+	b := NewBatcher(mem, BatcherOptions{FlushInterval: time.Hour})
 	defer b.Close()
-	for i := 0; i < 4; i++ {
+	for i := 0; i < maxPending; i++ {
 		if err := b.Put(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for mem.Len() < 4 {
+	for mem.Len() < maxPending {
 		if time.Now().After(deadline) {
 			t.Fatalf("size-triggered flush never ran: backend has %d records", mem.Len())
 		}
@@ -62,8 +94,8 @@ func TestBatcherSizeTriggeredFlush(t *testing.T) {
 }
 
 func TestBatcherIntervalFlush(t *testing.T) {
-	mem := NewMemory()
-	b := NewBatcher(mem, BatcherOptions{MaxPending: 1000, FlushInterval: 10 * time.Millisecond})
+	mem := newMapStore()
+	b := NewBatcher(mem, BatcherOptions{FlushInterval: 10 * time.Millisecond})
 	defer b.Close()
 	if err := b.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -77,57 +109,14 @@ func TestBatcherIntervalFlush(t *testing.T) {
 	}
 }
 
-func TestBatcherDeleteRemovesPending(t *testing.T) {
-	mem := NewMemory()
-	b := NewBatcher(mem, BatcherOptions{MaxPending: 1000, FlushInterval: time.Hour})
-	defer b.Close()
-	if err := mem.Put("k", []byte("old")); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Put("k", []byte("new")); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Delete("k"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Get("k"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get after Delete = %v, want ErrNotFound", err)
-	}
-	if err := b.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mem.Get("k"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("deleted pending value resurrected by flush: %v", err)
-	}
-}
-
-func TestBatcherScanSeesPendingWrites(t *testing.T) {
-	mem := NewMemory()
-	b := NewBatcher(mem, BatcherOptions{MaxPending: 1000, FlushInterval: time.Hour})
-	defer b.Close()
-	if err := b.Put("pending", []byte("p")); err != nil {
-		t.Fatal(err)
-	}
-	var keys []string
-	if err := b.Scan(func(key string, value []byte) error {
-		keys = append(keys, key)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 1 || keys[0] != "pending" {
-		t.Fatalf("Scan keys = %v, want [pending]", keys)
-	}
-}
-
 // TestBatcherConcurrency is the -race hammer of the satellite: many
 // goroutines Put/Get/Flush concurrently while Close races them. Every
 // Put that returned nil must be durable in the underlying store after
 // Close; every Put after Close must return ErrClosed; and nothing may
 // trip the race detector.
 func TestBatcherConcurrency(t *testing.T) {
-	mem := NewMemory()
-	b := NewBatcher(mem, BatcherOptions{MaxPending: 8, FlushInterval: time.Millisecond})
+	mem := newMapStore()
+	b := NewBatcher(mem, BatcherOptions{FlushInterval: time.Millisecond})
 
 	const writers = 8
 	const perWriter = 200
@@ -205,7 +194,7 @@ func TestBatcherConcurrency(t *testing.T) {
 }
 
 // failingStore rejects every Put, for error-path coverage.
-type failingStore struct{ *Memory }
+type failingStore struct{ *mapStore }
 
 func (f *failingStore) Put(key string, value []byte) error {
 	return errors.New("disk on fire")
@@ -213,8 +202,7 @@ func (f *failingStore) Put(key string, value []byte) error {
 
 func TestBatcherFlushErrorsAreReported(t *testing.T) {
 	var reported []string
-	b := NewBatcher(&failingStore{NewMemory()}, BatcherOptions{
-		MaxPending:    1000,
+	b := NewBatcher(&failingStore{newMapStore()}, BatcherOptions{
 		FlushInterval: time.Hour,
 		OnError:       func(key string, err error) { reported = append(reported, key) },
 	})

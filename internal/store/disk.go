@@ -14,7 +14,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -75,9 +74,6 @@ func OpenDisk(dir string, log *slog.Logger) (*Disk, error) {
 	}
 	return d, nil
 }
-
-// Dir reports the store's root directory.
-func (d *Disk) Dir() string { return d.dir }
 
 // path returns the record file of key.
 func (d *Disk) path(key string) string {
@@ -176,52 +172,6 @@ func (d *Disk) Put(key string, value []byte) error {
 	return nil
 }
 
-// Delete implements Store; deleting an absent key is a no-op.
-func (d *Disk) Delete(key string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if err := os.Remove(d.path(key)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	delete(d.keys, key)
-	return nil
-}
-
-// Scan implements Store, visiting records in sorted key order. Records
-// that became unreadable or corrupt since open are skipped with a log
-// line, matching the open-time contract.
-func (d *Disk) Scan(fn func(key string, value []byte) error) error {
-	d.mu.RLock()
-	if d.closed {
-		d.mu.RUnlock()
-		return ErrClosed
-	}
-	keys := make([]string, 0, len(d.keys))
-	for k := range d.keys {
-		keys = append(keys, k)
-	}
-	d.mu.RUnlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		value, err := d.read(k)
-		if err != nil {
-			var ce *CorruptError
-			if errors.Is(err, ErrNotFound) || errors.As(err, &ce) {
-				d.log.Warn("store: skipping record during scan", "key", k, "error", err.Error())
-				continue
-			}
-			return err
-		}
-		if err := fn(k, value); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Len reports the number of indexed records.
 func (d *Disk) Len() int {
 	d.mu.RLock()
@@ -229,7 +179,7 @@ func (d *Disk) Len() int {
 	return len(d.keys)
 }
 
-// Close implements Store.
+// Close releases the store. Get and Put after Close return ErrClosed.
 func (d *Disk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -98,9 +98,6 @@ func replay(f *os.File) (entries []JournalEntry, good int64, err error) {
 	}
 }
 
-// Path reports the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Append writes one record and syncs it to stable storage before
 // returning; an append that returned nil survives SIGKILL.
 func (j *Journal) Append(id string, payload []byte) error {

@@ -168,27 +168,3 @@ func TestJournalRejectsBadID(t *testing.T) {
 		t.Fatalf("Append with bad ID = %v, want *BadKeyError", err)
 	}
 }
-
-// TestJournalPathAndDiskDir: the accessors report the locations the
-// constructors were given — what popsd logs at boot.
-func TestJournalPathAndDiskDir(t *testing.T) {
-	dir := t.TempDir()
-	jp := filepath.Join(dir, "j.journal")
-	j, _, err := OpenJournal(jp, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if j.Path() != jp {
-		t.Errorf("Path() = %q, want %q", j.Path(), jp)
-	}
-	sd := filepath.Join(dir, "results")
-	d, err := OpenDisk(sd, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if d.Dir() != sd {
-		t.Errorf("Dir() = %q, want %q", d.Dir(), sd)
-	}
-}

@@ -1,10 +1,10 @@
 // Package store is the durable content-addressed result tier of the
-// service: a small key/value contract (Get/Put/Delete/Scan) over
-// fingerprint-derived keys, with two backends — an in-memory map (the
-// default, used by tests and stores nothing across restarts) and an
-// append-friendly on-disk store (one checksummed record file per key,
-// written via atomic rename, corrupt records skipped with a logged
-// error on open). A write-behind Batcher coalesces Puts and flushes
+// service: a two-method key/value contract (Get/Put) over
+// fingerprint-derived keys, with one backend — an on-disk store (one
+// checksummed record file per key, written via atomic rename, corrupt
+// records skipped with a logged error on open). Without a data
+// directory the engine keeps results in its in-memory memo only and
+// needs no store. A write-behind Batcher coalesces Puts and flushes
 // them on size, interval and Close, so the engine's hot path never
 // waits on the filesystem; a Journal provides the append-only job log
 // popsd replays on restart.
@@ -24,7 +24,7 @@ import (
 
 // Typed error values of the store contract.
 var (
-	// ErrNotFound reports a Get/Scan miss: no record under the key.
+	// ErrNotFound reports a Get miss: no record under the key.
 	ErrNotFound = errors.New("store: key not found")
 	// ErrClosed reports an operation against a closed store or batcher
 	// (mirroring the engine job store's post-Close Submit contract).
@@ -64,21 +64,16 @@ func ValidKey(key string) bool {
 	return true
 }
 
-// Store is the durable result tier contract. Implementations are safe
-// for concurrent use. Values passed to Put and returned by Get are
-// caller-owned copies — mutating them never corrupts the store.
+// Store is the durable result tier contract: the two calls the
+// engine's result memo makes on a miss and after a computation.
+// Implementations are safe for concurrent use. Values passed to Put
+// and returned by Get are caller-owned copies — mutating them never
+// corrupts the store. Closing is the business of whoever opened the
+// concrete backend, not of the contract.
 type Store interface {
 	// Get returns the value under key, ErrNotFound when absent, or a
 	// *CorruptError when the stored record fails verification.
 	Get(key string) ([]byte, error)
 	// Put stores value under key, replacing any previous value.
 	Put(key string, value []byte) error
-	// Delete removes key; deleting an absent key is a no-op.
-	Delete(key string) error
-	// Scan visits every stored record in unspecified but deterministic
-	// (sorted-key) order; a non-nil return from fn stops the scan and
-	// is returned.
-	Scan(fn func(key string, value []byte) error) error
-	// Close releases the store. Operations after Close return ErrClosed.
-	Close() error
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -12,81 +11,46 @@ import (
 	"testing"
 )
 
-// backends drives the shared contract tests over both implementations.
-func backends(t *testing.T) map[string]Store {
-	t.Helper()
-	disk, err := OpenDisk(t.TempDir(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]Store{"memory": NewMemory(), "disk": disk}
-}
-
 func TestStoreContract(t *testing.T) {
-	for name, s := range backends(t) {
-		t.Run(name, func(t *testing.T) {
-			defer s.Close()
-			if _, err := s.Get("absent"); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("Get(absent) error = %v, want ErrNotFound", err)
-			}
-			if err := s.Put("k1", []byte("v1")); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Put("k1", []byte("v1-replaced")); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Put("k0", []byte("v0")); err != nil {
-				t.Fatal(err)
-			}
-			got, err := s.Get("k1")
-			if err != nil || string(got) != "v1-replaced" {
-				t.Fatalf("Get(k1) = (%q, %v), want v1-replaced", got, err)
-			}
-			// Mutating the returned slice must not corrupt the store.
-			got[0] = 'X'
-			if again, _ := s.Get("k1"); string(again) != "v1-replaced" {
-				t.Fatalf("store value mutated through Get result: %q", again)
-			}
-			var seen []string
-			err = s.Scan(func(key string, value []byte) error {
-				seen = append(seen, key+"="+string(value))
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := []string{"k0=v0", "k1=v1-replaced"}
-			if fmt.Sprint(seen) != fmt.Sprint(want) {
-				t.Fatalf("Scan order = %v, want %v", seen, want)
-			}
-			stop := errors.New("stop")
-			if err := s.Scan(func(string, []byte) error { return stop }); !errors.Is(err, stop) {
-				t.Fatalf("Scan stop error = %v, want %v", err, stop)
-			}
-			if err := s.Delete("k0"); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Delete("k0"); err != nil {
-				t.Fatalf("Delete of absent key: %v, want nil", err)
-			}
-			if _, err := s.Get("k0"); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("Get after Delete error = %v, want ErrNotFound", err)
-			}
-			var bk *BadKeyError
-			if err := s.Put(".bad", nil); !errors.As(err, &bk) {
-				t.Fatalf("Put(.bad) error = %v, want *BadKeyError", err)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Get("k1"); !errors.Is(err, ErrClosed) {
-				t.Fatalf("Get after Close error = %v, want ErrClosed", err)
-			}
-			if err := s.Put("k2", nil); !errors.Is(err, ErrClosed) {
-				t.Fatalf("Put after Close error = %v, want ErrClosed", err)
-			}
-		})
-	}
+	// The disk backend is the only Store; the subtest names it.
+	t.Run("disk", func(t *testing.T) {
+		s, err := OpenDisk(t.TempDir(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if _, err := s.Get("absent"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get(absent) error = %v, want ErrNotFound", err)
+		}
+		if err := s.Put("k1", []byte("v1")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put("k1", []byte("v1-replaced")); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Get("k1")
+		if err != nil || string(got) != "v1-replaced" {
+			t.Fatalf("Get(k1) = (%q, %v), want v1-replaced", got, err)
+		}
+		// Mutating the returned slice must not corrupt the store.
+		got[0] = 'X'
+		if again, _ := s.Get("k1"); string(again) != "v1-replaced" {
+			t.Fatalf("store value mutated through Get result: %q", again)
+		}
+		var bk *BadKeyError
+		if err := s.Put(".bad", nil); !errors.As(err, &bk) {
+			t.Fatalf("Put(.bad) error = %v, want *BadKeyError", err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Get("k1"); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Get after Close error = %v, want ErrClosed", err)
+		}
+		if err := s.Put("k2", nil); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Put after Close error = %v, want ErrClosed", err)
+		}
+	})
 }
 
 func TestDiskPersistsAcrossReopen(t *testing.T) {

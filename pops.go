@@ -436,13 +436,11 @@ func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }
 // -data-dir crash durability; see the "Durability" section of
 // docs/ARCHITECTURE.md.
 type (
-	// ResultStore is the pluggable durable key/value tier: Get, Put,
-	// Delete, Scan and Close over checksummed records addressed by
-	// fingerprint-derived keys.
+	// ResultStore is the durable key/value tier the engine's result
+	// memo reads and writes: Get and Put over checksummed records
+	// addressed by fingerprint-derived keys. DiskStore is its backend;
+	// whoever opens a backend closes it.
 	ResultStore = store.Store
-	// MemoryStore is the in-process ResultStore backend (tests,
-	// ephemeral tiers).
-	MemoryStore = store.Memory
 	// DiskStore is the on-disk ResultStore backend: one checksummed
 	// record file per key, written by atomic rename, corrupt records
 	// skipped with a logged warning on open.
@@ -451,7 +449,9 @@ type (
 	// ResultStore: Puts coalesce per key and flush on size, interval
 	// and Close.
 	StoreBatcher = store.Batcher
-	// StoreBatcherOptions tunes NewStoreBatcher.
+	// StoreBatcherOptions tunes NewStoreBatcher: the flush interval
+	// and the error hooks. A batch also flushes once 64 keys are
+	// pending.
 	StoreBatcherOptions = store.BatcherOptions
 	// StoreCorruptError is the typed verdict on a damaged record: the
 	// bytes are unreadable, as opposed to absent (ErrResultNotFound).
@@ -472,9 +472,6 @@ var (
 	ErrResultStoreClosed = store.ErrClosed
 )
 
-// NewMemoryStore builds the in-process ResultStore backend.
-func NewMemoryStore() *MemoryStore { return store.NewMemory() }
-
 // OpenDiskStore opens (creating if needed) the on-disk ResultStore
 // backend under dir. Records that fail their checksum are skipped with
 // a warning on log — one damaged record never poisons the store. A nil
@@ -484,9 +481,8 @@ func OpenDiskStore(dir string, log *slog.Logger) (*DiskStore, error) {
 }
 
 // NewStoreBatcher wraps a ResultStore with asynchronous write-behind
-// batching: Puts coalesce in memory and flush when the pending set
-// grows past StoreBatcherOptions.MaxPending, every FlushInterval, and
-// on Close. Reads see pending writes immediately. Closing the batcher
+// batching: Puts coalesce in memory and flush when 64 keys are
+// pending, every StoreBatcherOptions.FlushInterval, and on Close. Reads see pending writes immediately. Closing the batcher
 // flushes but does not close the underlying store.
 func NewStoreBatcher(under ResultStore, opts StoreBatcherOptions) *StoreBatcher {
 	return store.NewBatcher(under, opts)
