@@ -53,8 +53,8 @@ const StorePath = "repro/internal/store"
 // called with a lock held.
 var storeMethods = map[string]bool{
 	"Get": true, "Put": true,
-	"Flush": true, "Close": true, "Append": true, "Sync": true,
-	"Replay": true, "Rewrite": true, "Len": true,
+	"Flush": true, "Close": true, "Append": true,
+	"Rewrite": true, "Len": true,
 }
 
 var Analyzer = &analysis.Analyzer{

@@ -62,7 +62,7 @@ type Options struct {
 type Workspace struct {
 	b     []float64      // BCoefficients buffer of Tmin and SutherlandDistribute
 	h     []float64      // per-stage B scale factors of an eq. (6) solve
-	sizes []float64      // sizing snapshot buffer (Distribute)
+	sizes []float64      // sizing snapshot buffer (Distribute, DistributeFrozen)
 	eval  delay.PathEval // incremental worst-edge evaluator (polish, trim)
 	tmin  Result         // result slot for Tmin
 	dist  Result         // result slot for AtSensitivity/Distribute/Sutherland
@@ -421,18 +421,23 @@ func probe(m *delay.Model, pa *delay.Path, a float64, p *searchPolicy, ws *Works
 	return m.PathDelayWorst(pa)
 }
 
+// expansions bounds search's ×4 bracket expansion. Its last probe, at
+// 4^63 times the first, already clamps every free stage to CREF
+// (TestSaturatedSolveIsTmax).
+const expansions = 64
+
 // search finds the sensitivity a ≤ 0 at which the path's worst-edge
-// delay meets tc, under policy p. The delay rises as a falls, and the
-// caller has checked that a = 0 meets tc.
+// delay meets tc, under policy p. The delay rises as a falls. The
+// caller has checked that a = 0 meets tc and that the all-minimum
+// configuration (every free stage at CREF) does not, so a root exists.
 //
 // The bracket's lower end starts at a quarter of aStart, a known
 // sensitivity of a nearby problem (0 for none), or at p.cold if that is
-// closer to 0, and expands ×4 until a probe's delay reaches tc. With
-// p.tighten every probe that still meets tc becomes the upper end, in
-// place of 0. If 64 expansions never reach tc, every stage has clamped
-// to its minimum drive: search returns the last lower end without
-// bisecting. Otherwise it bisects p.steps times and returns the upper
-// end, or the probe whose delay lands within p.stopTol·tc.
+// closer to 0, and expands ×4 until a probe's delay reaches tc; the
+// last expansion probe is the all-minimum configuration. With p.tighten
+// every probe that still meets tc becomes the upper end, in place of 0.
+// search then bisects p.steps times and returns the upper end, or the
+// probe whose delay lands within p.stopTol·tc.
 //
 // Every solve starts from the previous probe's sizes. The path is left
 // solved again at the returned a; sweeps is that solve's count.
@@ -440,31 +445,26 @@ func probe(m *delay.Model, pa *delay.Path, a float64, p *searchPolicy, ws *Works
 //pops:noalloc
 func search(m *delay.Model, pa *delay.Path, tc, aStart float64, p *searchPolicy, ws *Workspace) (a float64, sweeps int) {
 	aLo, aHi := min(aStart/4, p.cold), 0.0
-	expansions := 0
-	for ; expansions < 64 && probe(m, pa, aLo, p, ws) < tc; expansions++ {
+	for i := 0; i < expansions && probe(m, pa, aLo, p, ws) < tc; i++ {
 		if p.tighten {
 			aHi = aLo
 		}
 		aLo *= 4
 	}
-	a = aLo
-	if expansions < 64 {
-		for range p.steps {
-			mid := (aLo + aHi) / 2
-			d := probe(m, pa, mid, p, ws)
-			if d > tc {
-				aLo = mid
-			} else {
-				aHi = mid
-			}
-			if p.stopTol > 0 && math.Abs(d-tc) <= p.stopTol*tc {
-				aHi = mid
-				break
-			}
+	for range p.steps {
+		mid := (aLo + aHi) / 2
+		d := probe(m, pa, mid, p, ws)
+		if d > tc {
+			aLo = mid
+		} else {
+			aHi = mid
 		}
-		a = aHi
+		if p.stopTol > 0 && math.Abs(d-tc) <= p.stopTol*tc {
+			aHi = mid
+			break
+		}
 	}
-	return a, solveSensitivity(m, pa, a, p.pin, p.sweeps, p.tol, ws)
+	return aHi, solveSensitivity(m, pa, aHi, p.pin, p.sweeps, p.tol, ws)
 }
 
 // Distribute implements the paper's constraint-distribution step: size
@@ -546,19 +546,52 @@ func Distribute(m *delay.Model, pa *delay.Path, tc float64, opts Options) (*Resu
 
 // DistributeFrozen distributes the delay constraint tc over the path's
 // original stages while the stages marked Inserted keep their sizes:
-// the frozen-buffer solve of Local-mode buffer insertion. It first
-// solves at a = 0, the family's minimum delay; if that misses tc it
-// returns that solve and false. Otherwise it searches a from aStart, a
-// known sensitivity of a nearby problem or 0 for none, and returns the
-// path solved at the accepted a and true. ws may be nil.
-func DistributeFrozen(m *delay.Model, pa *delay.Path, tc, aStart float64, ws *Workspace) (Result, bool) {
-	var r Result
-	ok := probe(m, pa, 0, &frozenPolicy, ws) <= tc
-	if ok {
+// the frozen-buffer solve of Local-mode buffer insertion. aStart is a
+// known sensitivity of a nearby problem, or 0 for none. ws may be nil.
+//
+// If the all-minimum configuration, every free stage at CREF, is
+// strictly below tc, DistributeFrozen returns it and true: maximum
+// area saving. Its Result carries Sweeps 1 and the A that search's
+// expansions would have reached on that plateau, min(aStart/4, cold)
+// scaled by 4^64, because later rounds warm-start from it. Otherwise
+// it solves at a = 0, the family's minimum delay; if that misses tc it
+// returns that solve and false, and if not it searches a from aStart
+// and returns the path solved at the accepted a and true.
+func DistributeFrozen(m *delay.Model, pa *delay.Path, tc, aStart float64, ws *Workspace) (r Result, ok bool) {
+	if ws == nil {
+		ws = new(Workspace)
+	}
+	switch {
+	case belowAtMinimum(m, pa, tc, ws):
+		r.A, r.Sweeps, ok = math.Ldexp(min(aStart/4, frozenPolicy.cold), 2*expansions), 1, true
+	case probe(m, pa, 0, &frozenPolicy, ws) <= tc:
 		r.A, r.Sweeps = search(m, pa, tc, aStart, &frozenPolicy, ws)
+		ok = true
 	}
 	r.Delay, r.MeanDelay, r.Area = m.PathDelayWorst(pa), m.PathDelayMean(pa), pa.Area(m.Proc)
 	return r, ok
+}
+
+// belowAtMinimum sets every free stage of the path (i ≥ 1, not
+// Inserted) to CREF and reports whether its worst-edge delay is then
+// strictly below tc. If it is not, the path gets back its sizes from a
+// snapshot in ws.sizes, bit for bit.
+//
+//pops:noalloc
+func belowAtMinimum(m *delay.Model, pa *delay.Path, tc float64, ws *Workspace) bool {
+	ws.sizes = pa.AppendSizes(ws.sizes[:0])
+	for i := 1; i < len(pa.Stages); i++ {
+		if !pa.Stages[i].Inserted {
+			pa.Stages[i].CIn = m.Proc.CRef
+		}
+	}
+	if m.PathDelayWorst(pa) < tc {
+		return true
+	}
+	for i, x := range ws.sizes {
+		pa.Stages[i].CIn = x
+	}
+	return false
 }
 
 // trimArea shrinks each stage toward the smallest size that keeps the
