@@ -293,3 +293,29 @@ func TestAssignRejectsNonFiniteConstraint(t *testing.T) {
 		}
 	}
 }
+
+// TestBoundedTrialsCutTheWork pins the work of the pass on the
+// large-leakage op's shape, mix6000 sized at 1.5·Tmin: bounding every
+// trial by the pass's initial required times cut the nodes its trials
+// recompute from 668,348, measured with trials that stop only at a
+// primary output over budget, to 365,921 (−45%). The test holds the cut
+// to at least 40%. The pass's decisions pin the shape: if they move,
+// the unbounded count must be measured again.
+func TestBoundedTrialsCutTheWork(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sizes mix6000")
+	}
+	c, m, tc, _ := sized(t, "mix6000", 1.5)
+	res, recomputed, err := leakage.AssignCounted(context.Background(), sta.NewSession(c, m, sta.Config{}), tc, leakage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const considered, promoted, unbounded = 5838, 5372, 668348
+	if res.Considered != considered || res.Promoted != promoted {
+		t.Fatalf("considered/promoted %d/%d, pinned %d/%d: the shape moved", res.Considered, res.Promoted, considered, promoted)
+	}
+	if recomputed > unbounded*6/10 {
+		t.Fatalf("trials recomputed %d nodes, over 60%% of the unbounded pass's %d", recomputed, unbounded)
+	}
+	t.Logf("trials recomputed %d nodes, the unbounded pass %d", recomputed, unbounded)
+}

@@ -23,6 +23,12 @@
 // would have passed alone — and bisects a failing block for its first
 // rejected candidate. The decisions are those of checking one step at
 // a time, with far fewer propagations.
+//
+// For the same reason the required times of the slack report computed
+// at the start of the pass stay upper bounds on the current ones for
+// the whole pass. Every trial is bounded by that one report: it stops
+// at the first gate that arrives after its initial required time
+// instead of propagating to a primary output, with the same verdict.
 package leakage
 
 import (
@@ -99,17 +105,24 @@ func Assign(ctx context.Context, c *netlist.Circuit, m *delay.Model, tc float64,
 // of re-analyzing the circuit, and every promotion check runs on the
 // session's reused buffers.
 func AssignSession(ctx context.Context, sess *sta.Session, tc float64, opts Options) (*Result, error) {
+	out, _, err := assign(ctx, sess, tc, opts)
+	return out, err
+}
+
+// assign is AssignSession that also returns the number of nodes the
+// pass's timing trials recomputed.
+func assign(ctx context.Context, sess *sta.Session, tc float64, opts Options) (*Result, int, error) {
 	c, m := sess.Circuit(), sess.Model()
 	if !(tc > 0) || math.IsInf(tc, 1) {
-		return nil, fmt.Errorf("leakage: constraint %g must be finite and positive", tc)
+		return nil, 0, fmt.Errorf("leakage: constraint %g must be finite and positive", tc)
 	}
 	if err := m.Proc.Validate(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 
 	res, err := sess.Analyze()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	budget := tc
 	if res.WorstDelay > tc {
@@ -121,16 +134,16 @@ func AssignSession(ctx context.Context, sess *sta.Session, tc float64, opts Opti
 	// change no logic value, so the profile stays valid throughout.
 	prof, err := power.SimulateProfile(c, opts.Power)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	dyn, err := power.EstimateCircuitActivities(c, m.Proc, opts.Power, prof.Activities)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	probs := prof.StateProbs
 	before, err := power.EstimateStaticProbs(c, m.Proc, probs)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 
 	out := &Result{
@@ -147,7 +160,7 @@ func AssignSession(ctx context.Context, sess *sta.Session, tc float64, opts Opti
 	// node ID breaking ties for determinism.
 	slacks, err := res.Slacks(budget)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	type cand struct {
 		n     *netlist.Node
@@ -174,7 +187,7 @@ func AssignSession(ctx context.Context, sess *sta.Session, tc float64, opts Opti
 
 	p := &promoter{
 		res:    res,
-		budget: budget,
+		slacks: slacks,
 		nodes:  make([]*netlist.Node, len(cands)),
 		start:  make([]tech.VtClass, len(cands)),
 	}
@@ -182,14 +195,14 @@ func AssignSession(ctx context.Context, sess *sta.Session, tc float64, opts Opti
 		p.nodes[i], p.start[i] = cd.n, cd.n.Vt
 	}
 	if err := p.run(ctx); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	out.Considered = len(cands)
 	out.Promoted = p.promoted
 
 	after, err := power.EstimateStaticProbs(c, m.Proc, probs)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	out.Delay = res.WorstDelay
 	out.StaticAfterUW = after.TotalUW
@@ -202,7 +215,7 @@ func AssignSession(ctx context.Context, sess *sta.Session, tc float64, opts Opti
 			out.ByClass[n.Vt]++
 		}
 	}
-	return out, nil
+	return out, p.recomputed, nil
 }
 
 // promoter runs the greedy over the candidates in pass order. It
@@ -212,12 +225,17 @@ func AssignSession(ctx context.Context, sess *sta.Session, tc float64, opts Opti
 // grow as gates move up the ladder, so a block of candidates raised to
 // HVT together passes exactly when the greedy would accept each of
 // them all the way up.
+//
+// Every trial is bounded by slacks, the report computed against the
+// budget before the first move: the pass only moves gates up the
+// ladder, which keeps it valid (sta.Result.Try).
 type promoter struct {
-	res      *sta.Result
-	budget   float64
-	nodes    []*netlist.Node // candidates in pass order
-	start    []tech.VtClass  // their classes on entry
-	promoted int
+	res        *sta.Result
+	slacks     *sta.SlackReport
+	nodes      []*netlist.Node // candidates in pass order
+	start      []tech.VtClass  // their classes on entry
+	promoted   int
+	recomputed int // nodes the trials recomputed
 }
 
 // run handles every candidate.
@@ -276,7 +294,7 @@ func (p *promoter) tryBlock(ctx context.Context, lo, hi int) (bool, error) {
 		p.nodes[i].Vt = tech.HVT
 		steps += tech.HVT.Rank() - p.start[i].Rank()
 	}
-	kept, err := p.res.Try(p.budget, p.nodes[lo:hi]...)
+	kept, err := p.try(p.nodes[lo:hi]...)
 	if !kept {
 		for i := lo; i < hi; i++ {
 			p.nodes[i].Vt = p.start[i]
@@ -302,11 +320,18 @@ func (p *promoter) climb(ctx context.Context, i int) error {
 		}
 		prev := n.Vt
 		n.Vt = next
-		kept, err := p.res.Try(p.budget, n)
+		kept, err := p.try(n)
 		if !kept {
 			n.Vt = prev
 			return err
 		}
 		p.promoted++
 	}
+}
+
+// try runs one timing trial of the moves already written to changed.
+func (p *promoter) try(changed ...*netlist.Node) (bool, error) {
+	kept, n, err := p.res.Try(p.slacks, changed...)
+	p.recomputed += n
+	return kept, err
 }

@@ -11,6 +11,7 @@ package netlist
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/gate"
@@ -464,18 +465,21 @@ type TopoScratch struct {
 	next  []*Node // per-step newly-ready batch
 }
 
-//pops:noalloc buffers reused; make runs only under the cap guards
+// grow readies the buffers for a circuit of the given ID bound and node
+// count. Short buffers grow on append's amortized schedule, so a circuit
+// that gains a few nodes per round (buffer insertion) does not
+// reallocate them on every sort.
+//
+//pops:noalloc buffers reused; they grow only under the cap guards
 func (s *TopoScratch) grow(idBound, nodes int) {
 	if cap(s.indeg) < idBound {
-		s.indeg = make([]int, idBound)
+		s.indeg = slices.Grow(s.indeg[:0], idBound)
 	}
 	s.indeg = s.indeg[:idBound]
-	for i := range s.indeg {
-		s.indeg[i] = 0
-	}
+	clear(s.indeg)
 	// Every node passes through the Kahn FIFO once.
 	if cap(s.ready) < nodes {
-		s.ready = make([]*Node, 0, nodes)
+		s.ready = slices.Grow(s.ready[:0], nodes)
 	}
 	s.ready = s.ready[:0]
 	s.next = s.next[:0]
@@ -506,7 +510,7 @@ func (c *Circuit) TopoOrderInto(dst []*Node, scratch *TopoScratch) ([]*Node, err
 	sortNodesByID(ready)
 	order := dst[:0]
 	if cap(order) < len(c.Nodes) {
-		order = make([]*Node, 0, len(c.Nodes))
+		order = slices.Grow(order, len(c.Nodes))
 	}
 	for head := 0; head < len(ready); head++ {
 		n := ready[head]

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/delay"
 	"repro/internal/gate"
@@ -36,8 +37,9 @@ import (
 // circuits of thousands of gates whose cones hold a few dozen.
 //
 // Try is the same sweep as a trial: it logs every entry it overwrites,
-// stops at the first primary output over a delay budget, and on
-// rejection replays the log, so a rejected move never propagates
+// stops at the first gate whose arrival exceeds its required time in a
+// SlackReport, or else at the first primary output over the budget, and
+// on rejection replays the log, so a rejected move never propagates
 // twice.
 
 // ErrStaleAnalysis reports that a Result (or an update through it) was
@@ -46,6 +48,11 @@ import (
 // holder must run a fresh Analyze (or Session.Analyze, which refreshes
 // automatically).
 var ErrStaleAnalysis = errors.New("sta: analysis is stale: circuit structure changed since it was computed")
+
+// ErrStaleReport reports that Try was handed a SlackReport computed
+// from another analysis, or from this one before an Update or a full
+// re-analysis: its required times no longer bound the timing.
+var ErrStaleReport = errors.New("sta: slack report is stale: timing was updated or re-analyzed since it was computed")
 
 // undoEntry is one node's timing state as it stood before a Try sweep
 // overwrote it.
@@ -75,8 +82,9 @@ func (r *Result) Update(changed ...*netlist.Node) (int, error) {
 	if err := r.checkChanged(changed); err != nil {
 		return 0, err
 	}
+	r.gen++
 	r.seed(changed)
-	recomputed, _ := r.sweep(math.Inf(1), false)
+	recomputed, _ := r.sweep(math.Inf(1), nil, false)
 	d, o, rising := r.worst()
 	if o == nil {
 		return recomputed, r.lostOutputs()
@@ -85,45 +93,62 @@ func (r *Result) Update(changed ...*netlist.Node) (int, error) {
 	return recomputed, nil
 }
 
-// Try is Update as a trial move against a delay budget: it propagates
-// the same cone and keeps the result when the worst delay stays within
-// budget — exactly the verdict WorstDelay <= budget after Update — and
-// otherwise restores every node's timing and Worst* bit for bit.
+// Try is Update as a trial move against the delay budget rep.Tc: it
+// propagates the same cone and keeps the result when the worst delay
+// stays within budget — exactly the verdict WorstDelay <= rep.Tc after
+// Update — and otherwise restores every node's timing and Worst* bit
+// for bit. It returns the verdict and the number of nodes recomputed.
 //
-// Each overwritten entry is logged before the sweep writes it, and the
-// sweep stops at the first primary output whose arrival exceeds the
-// budget, so a rejected move costs one partial propagation and a
-// replay of its log instead of a full update and a rollback update.
-// Every node is recomputed at most once per sweep, so the log, sized
-// to the ID bound, never grows past it. Errors are Update's.
+// Each overwritten entry is logged before the sweep writes it, and a
+// rejected move costs one partial propagation and a replay of its log
+// instead of a full update and a rollback update. The sweep stops at
+// the first gate whose rise or fall arrival exceeds the report's
+// required time for that edge by more than the rounding margin, and
+// otherwise at the first primary output over budget, the exact check.
+// The early stop reaches the full sweep's verdict as long as no arc
+// delay or transition has fallen since rep was computed, the case of a
+// pass that only moves gates up the Vt ladder: every path from the gate
+// to an output is then at least as slow as when rep was computed, so
+// the gate's required time can only have dropped and the output the
+// path ends at is over budget too. A report from another analysis, or
+// from before an Update or a full re-analysis of this one, is refused
+// with ErrStaleReport before any timing is touched; a kept Try leaves
+// the report valid.
+//
+// Every node is recomputed at most once per sweep, so the log, sized to
+// the ID bound, never grows past it. Other errors are Update's.
 //
 //pops:noalloc
-func (r *Result) Try(budget float64, changed ...*netlist.Node) (bool, error) {
+func (r *Result) Try(rep *SlackReport, changed ...*netlist.Node) (bool, int, error) {
 	if err := r.checkChanged(changed); err != nil {
-		return false, err
+		return false, 0, err
+	}
+	if rep.res != r || rep.gen != r.gen {
+		return false, 0, ErrStaleReport
 	}
 	if cap(r.undo) < len(r.timing) {
 		// Sized on the first trial, not in grow, so analyses that never
 		// try a move do not pay for it.
-		r.undo = make([]undoEntry, 0, len(r.timing))
+		r.undo = slices.Grow(r.undo[:0], len(r.timing))
 	}
 	r.undo = r.undo[:0]
 	r.seed(changed)
-	if _, ok := r.sweep(budget, true); !ok {
+	recomputed, ok := r.sweep(rep.Tc, rep, true)
+	if !ok {
 		r.restore()
-		return false, nil
+		return false, recomputed, nil
 	}
 	d, o, rising := r.worst()
 	if o == nil {
-		return false, r.lostOutputs()
+		return false, recomputed, r.lostOutputs()
 	}
-	if d > budget {
+	if d > rep.Tc {
 		// An output outside the cone was already over budget.
 		r.restore()
-		return false, nil
+		return false, recomputed, nil
 	}
 	r.WorstDelay, r.WorstOutput, r.WorstRising = d, o, rising
-	return true, nil
+	return true, recomputed, nil
 }
 
 // checkChanged refuses an update on a stale structure or with a node
@@ -166,12 +191,15 @@ func (r *Result) seed(changed []*netlist.Node) {
 // bitset as it goes, and returns the number recomputed. With log set it
 // appends each node's entry to the undo log before overwriting it. It
 // returns false, with the rest of the bitset cleared, as soon as a
-// primary output's arrival exceeds budget (Update passes +Inf).
+// primary output's arrival exceeds budget (Update passes +Inf) or, with
+// a report, a gate's arrival exceeds its required time by more than
+// roundingMargin·|budget| (see Try).
 //
 //pops:noalloc
-func (r *Result) sweep(budget float64, log bool) (int, bool) {
+func (r *Result) sweep(budget float64, rep *SlackReport, log bool) (int, bool) {
 	recomputed := 0
 	tauIn := delay.DefaultTauIn(r.Model.Proc)
+	margin := roundingMargin * math.Abs(budget)
 	for w := r.lo >> 6; w <= r.hi>>6; w++ {
 		for r.dirty[w] != 0 {
 			b := bits.TrailingZeros64(r.dirty[w])
@@ -182,6 +210,7 @@ func (r *Result) sweep(budget float64, log bool) (int, bool) {
 				r.undo = append(r.undo, undoEntry{id: n.ID, timing: old, predRise: r.predRise[n.ID], predFall: r.predFall[n.ID]})
 			}
 			recomputed++
+			over := false
 			switch {
 			case n.Type == gate.Input:
 				r.timing[n.ID] = NodeTiming{TauRise: tauIn, TauFall: tauIn}
@@ -191,13 +220,18 @@ func (r *Result) sweep(budget float64, log bool) (int, bool) {
 				r.timing[n.ID] = dt
 				r.predRise[n.ID] = d
 				r.predFall[n.ID] = d
-				if dt.TRise > budget || dt.TFall > budget {
-					clear(r.dirty[w : r.hi>>6+1])
-					r.lo, r.hi = math.MaxInt, -1
-					return recomputed, false
-				}
+				over = dt.TRise > budget || dt.TFall > budget
 			default:
 				r.analyzeGate(n)
+				if rep != nil {
+					t := r.timing[n.ID]
+					over = t.TRise > rep.reqR[n.ID]+margin || t.TFall > rep.reqF[n.ID]+margin
+				}
+			}
+			if over {
+				clear(r.dirty[w : r.hi>>6+1])
+				r.lo, r.hi = math.MaxInt, -1
+				return recomputed, false
 			}
 			if old != r.timing[n.ID] {
 				for _, s := range n.Fanout {

@@ -111,9 +111,10 @@ func scanUpdate(r *Result, changed *netlist.Node) int {
 }
 
 func TestIncrementalVtMovesMatchFullAnalysis(t *testing.T) {
-	// The multi-Vt pass's access pattern: move one gate's Vt class and
-	// check it against a budget, restoring the class when it fails, with
-	// a resize every fourth move. Each move runs twice: through Try on
+	// The multi-Vt pass's access pattern: move one gate up the Vt
+	// ladder and check it against a budget, restoring the class when it
+	// fails, with a resize every fourth move. Each move runs twice:
+	// through Try, bounded by a report of the state before the move, on
 	// one analysis, and through Update plus a rollback Update on a
 	// reference analysis. Try must reach the reference's verdict; a
 	// kept Try must equal the reference and a fresh Analyze bit for
@@ -151,7 +152,11 @@ func TestIncrementalVtMovesMatchFullAnalysis(t *testing.T) {
 	try := func(g *netlist.Node, budget float64) bool {
 		t.Helper()
 		before := snapshot(tried)
-		kept, err := tried.Try(budget, g)
+		rep, err := tried.Slacks(budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept, _, err := tried.Try(rep, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,10 +185,11 @@ func TestIncrementalVtMovesMatchFullAnalysis(t *testing.T) {
 			continue
 		}
 		// Budgets around the current worst delay, some below it: then
-		// even a move outside the worst cone must fail.
+		// even a move outside the worst cone must fail. The report
+		// bounds only moves up the ladder (a resize runs unbounded).
 		budget := res.WorstDelay * (0.995 + 0.02*rng.Float64())
 		prev := g.Vt
-		g.Vt = classes[rng.Intn(len(classes))]
+		g.Vt = classes[prev.Rank()+rng.Intn(len(classes)-prev.Rank())]
 		if !try(g, budget) {
 			rejected++
 			g.Vt = prev

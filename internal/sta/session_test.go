@@ -221,22 +221,40 @@ func TestSessionRoundLoopAllocationFree(t *testing.T) {
 		if _, err := res.Update(g); err != nil {
 			t.Fatal(err)
 		}
-		// Every chain gate is critical: an HVT promotion fails a budget
-		// at the current delay and passes an unbounded one.
-		g.Vt = tech.HVT
-		if kept, err := res.Try(res.WorstDelay, g); kept || err != nil {
-			t.Fatalf("critical promotion kept %v (err %v)", kept, err)
-		}
-		if kept, err := res.Try(math.Inf(1), g); !kept || err != nil {
-			t.Fatalf("unbounded trial rejected (err %v)", err)
-		}
-		g.Vt = tech.SVT
-		if _, err := res.Update(g); err != nil {
-			t.Fatal(err)
-		}
 	})
 	if allocs > 0 {
 		t.Fatalf("warm session round allocated %.1f times per run", allocs)
+	}
+
+	// The pass's trials share reports computed once, before the first.
+	res, err := sess.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight, err := res.Slacks(res.WorstDelay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loose, err := res.Slacks(math.Inf(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	allocs = testing.AllocsPerRun(50, func() {
+		// Every chain gate is critical: an HVT promotion fails the
+		// entry delay as a budget and passes an unbounded one.
+		g := gs[i%len(gs)]
+		i++
+		g.Vt = tech.HVT
+		if kept, _, err := res.Try(tight, g); kept || err != nil {
+			t.Fatalf("critical promotion kept %v (err %v)", kept, err)
+		}
+		if kept, _, err := res.Try(loose, g); !kept || err != nil {
+			t.Fatalf("unbounded trial rejected (err %v)", err)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("warm trials allocated %.1f times per run", allocs)
 	}
 }
 

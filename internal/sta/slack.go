@@ -12,6 +12,11 @@ import (
 // constraint — the "iterative timing verification" view the paper's
 // §1 mentions when sizing perturbs adjacent paths. Per-node values are
 // stored densely by Node.ID; use Required and Slack to read them.
+//
+// A report also bounds Result.Try's trials. It records the analysis it
+// was computed from and that analysis's generation, which every Update
+// and full re-analysis advances and a kept Try does not; Try refuses a
+// report from another analysis or an older generation.
 type SlackReport struct {
 	Tc float64
 	// WorstSlack is the minimum slack over all nodes.
@@ -19,19 +24,26 @@ type SlackReport struct {
 	// Violations counts nodes with negative slack.
 	Violations int
 
-	circuit  *netlist.Circuit
-	required []float64 // by Node.ID; +Inf = unconstrained
-	slack    []float64 // by Node.ID; +Inf = unconstrained
+	res        *Result   // the analysis the report was computed from
+	gen        uint64    // res.gen at that time
+	reqR, reqF []float64 // by Node.ID, per output edge; +Inf = unconstrained
+	slack      []float64 // by Node.ID; +Inf = unconstrained
 }
+
+// roundingMargin, scaled by |Tc|, bounds the rounding error of a
+// required time, an arrival or a slack: each is a chain of at most
+// depth adds and subtracts of values on the Tc scale, each off by at
+// most 2⁻⁵³ of Tc, so depth·1.1e-16 of Tc in all.
+const roundingMargin = 1e-9
 
 // Required returns the latest arrival the node's output may have
 // without violating Tc at any reachable output (worst edge); +Inf for
 // dangling (unconstrained) nodes.
 func (rep *SlackReport) Required(n *netlist.Node) float64 {
-	if n == nil || n.ID >= len(rep.required) {
+	if n == nil || n.ID >= len(rep.reqR) {
 		return math.Inf(1)
 	}
-	return rep.required[n.ID]
+	return math.Min(rep.reqR[n.ID], rep.reqF[n.ID])
 }
 
 // Slack returns Required − Arrival (worst edge); negative = violating,
@@ -55,8 +67,10 @@ func (r *Result) Slacks(tc float64) (*SlackReport, error) {
 	rep := &SlackReport{
 		Tc:         tc,
 		WorstSlack: math.Inf(1),
-		circuit:    r.Circuit,
-		required:   make([]float64, idBound),
+		res:        r,
+		gen:        r.gen,
+		reqR:       make([]float64, idBound),
+		reqF:       make([]float64, idBound),
 		slack:      make([]float64, idBound),
 	}
 	// Edge-aware backward pass, matching the edge-aware forward pass:
@@ -64,12 +78,7 @@ func (r *Result) Slacks(tc float64) (*SlackReport, error) {
 	// inverting cells) or same (buffers) output edge. Collapsing edges
 	// to per-arc maxima would be pessimistic — alternation means a
 	// gate's worse edge need not chain with its successor's.
-	if cap(r.reqR) < idBound {
-		r.reqR = make([]float64, idBound)
-		r.reqF = make([]float64, idBound)
-	}
-	reqR := r.reqR[:idBound]
-	reqF := r.reqF[:idBound]
+	reqR, reqF := rep.reqR, rep.reqF
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
 		if n.Type == gate.Output {
@@ -113,7 +122,6 @@ func (r *Result) Slacks(tc float64) (*SlackReport, error) {
 		rr, rf := reqR[n.ID], reqF[n.ID]
 		if math.IsInf(rr, 1) && math.IsInf(rf, 1) {
 			// Dangling logic: unconstrained.
-			rep.required[n.ID] = math.Inf(1)
 			rep.slack[n.ID] = math.Inf(1)
 			continue
 		}
@@ -122,13 +130,12 @@ func (r *Result) Slacks(tc float64) (*SlackReport, error) {
 			aR, aF = r.timing[n.ID].TRise, r.timing[n.ID].TFall
 		}
 		sl := math.Min(rr-aR, rf-aF)
-		rep.required[n.ID] = math.Min(rr, rf)
 		rep.slack[n.ID] = sl
 		if sl < rep.WorstSlack {
 			rep.WorstSlack = sl
 		}
 		// Count violations beyond numerical noise on the tc scale.
-		if sl < -1e-9*math.Abs(tc) {
+		if sl < -roundingMargin*math.Abs(tc) {
 			rep.Violations++
 		}
 	}
@@ -144,7 +151,7 @@ func (rep *SlackReport) CriticalBySlack(k int) []*netlist.Node {
 		sl float64
 	}
 	var cands []cand
-	for _, n := range rep.circuit.Nodes {
+	for _, n := range rep.res.Circuit.Nodes {
 		sl := rep.Slack(n)
 		if n.IsLogic() && !math.IsInf(sl, 1) {
 			cands = append(cands, cand{n, sl})

@@ -17,6 +17,7 @@ package sta
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/delay"
 	"repro/internal/gate"
@@ -60,6 +61,10 @@ type Result struct {
 	// epoch is Circuit.Epoch() at analysis time; staleEpoch marks a
 	// Result poisoned by a failed incremental update.
 	epoch uint64
+	// gen counts the full analyses and Updates this Result has run; a
+	// SlackReport bounds Try only while gen is the one it was computed
+	// at. A kept Try does not advance it.
+	gen uint64
 
 	// timing, predRise and predFall are indexed by Node.ID (dense up to
 	// Circuit.IDBound at analysis time). pred records, per (node,
@@ -81,8 +86,6 @@ type Result struct {
 	lo, hi int
 	undo   []undoEntry // Try's log of overwritten entries (Try sizes it)
 	topo   netlist.TopoScratch
-	reqR   []float64 // backward-pass scratch (Slacks)
-	reqF   []float64
 }
 
 // Analyze runs slope-propagating STA over the circuit. The circuit must
@@ -96,23 +99,19 @@ func Analyze(c *netlist.Circuit, m *delay.Model, cfg Config) (*Result, error) {
 }
 
 // grow sizes the per-ID slices for the circuit's current ID bound,
-// reusing capacity, and clears the entries.
+// reusing capacity, and clears the entries. Short slices grow on
+// append's amortized schedule: buffer insertion raises the ID bound a
+// few nodes per round, and an exact-size grow would reallocate on every
+// re-analysis.
 //
-//pops:noalloc per-ID slices grow only under the cap guard
+//pops:noalloc per-ID slices grow only under resize's cap guard
 func (r *Result) grow() {
 	n := r.Circuit.IDBound()
-	if cap(r.timing) < n {
-		r.timing = make([]NodeTiming, n)
-		r.predRise = make([]*netlist.Node, n)
-		r.predFall = make([]*netlist.Node, n)
-		r.pos = make([]int, n)
-		r.dirty = make([]uint64, (n+63)/64)
-	}
-	r.timing = r.timing[:n]
-	r.predRise = r.predRise[:n]
-	r.predFall = r.predFall[:n]
-	r.pos = r.pos[:n]
-	r.dirty = r.dirty[:(n+63)/64]
+	r.timing = resize(r.timing, n)
+	r.predRise = resize(r.predRise, n)
+	r.predFall = resize(r.predFall, n)
+	r.pos = resize(r.pos, n)
+	r.dirty = resize(r.dirty, (n+63)/64)
 	for i := range r.timing {
 		r.timing[i] = NodeTiming{}
 		r.predRise[i] = nil
@@ -120,6 +119,17 @@ func (r *Result) grow() {
 	}
 	clear(r.dirty)
 	r.lo, r.hi = math.MaxInt, -1
+}
+
+// resize returns s resized to n, reallocating only when its capacity
+// is short, and then on append's amortized schedule.
+//
+//pops:noalloc
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = slices.Grow(s[:0], n)
+	}
+	return s[:n]
 }
 
 // analyze (re)runs the full forward pass in place, reusing the
@@ -168,6 +178,7 @@ func (r *Result) analyze() error {
 		return fmt.Errorf("sta: circuit %s has no primary outputs", c.Name)
 	}
 	r.epoch = c.Epoch()
+	r.gen++
 	return nil
 }
 
