@@ -98,25 +98,11 @@ func sizeBuffer(m *delay.Model, b *delay.Path, eval DelayFn) float64 {
 	if hi > m.Proc.CMax {
 		hi = m.Proc.CMax
 	}
-	const phi = 0.6180339887498949
-	x1 := hi - phi*(hi-lo)
-	x2 := lo + phi*(hi-lo)
-	at := func(x float64) float64 {
+	x1, f1, x2, f2 := sizing.GoldenSection(lo, hi, 90, func(x float64) float64 {
 		b.Stages[1].CIn = x
 		return eval(b)
-	}
-	f1, f2 := at(x1), at(x2)
-	for i := 0; i < 90 && hi-lo > 1e-9*hi; i++ {
-		if f1 < f2 {
-			hi, x2, f2 = x2, x1, f1
-			x1 = hi - phi*(hi-lo)
-			f1 = at(x1)
-		} else {
-			lo, x1, f1 = x1, x2, f2
-			x2 = lo + phi*(hi-lo)
-			f2 = at(x2)
-		}
-	}
+	})
+	// An exact tie keeps x2.
 	if f1 < f2 {
 		b.Stages[1].CIn = x1
 		return f1
@@ -464,22 +450,9 @@ func sizeInsertedLocally(m *delay.Model, pa *delay.Path, idx int, ev *delay.Path
 	if hi > m.Proc.CMax {
 		hi = m.Proc.CMax
 	}
-	const phi = 0.6180339887498949
 	ev.Reset(m, pa)
-	x1 := hi - phi*(hi-lo)
-	x2 := lo + phi*(hi-lo)
-	f1, f2 := ev.Probe(idx, x1), ev.Probe(idx, x2)
-	for i := 0; i < 80 && hi-lo > 1e-9*hi; i++ {
-		if f1 < f2 {
-			hi, x2, f2 = x2, x1, f1
-			x1 = hi - phi*(hi-lo)
-			f1 = ev.Probe(idx, x1)
-		} else {
-			lo, x1, f1 = x1, x2, f2
-			x2 = lo + phi*(hi-lo)
-			f2 = ev.Probe(idx, x2)
-		}
-	}
+	x1, f1, x2, f2 := sizing.GoldenSection(lo, hi, 80, func(x float64) float64 { return ev.Probe(idx, x) })
+	// An exact tie keeps x2.
 	if f1 < f2 {
 		pa.Stages[idx].CIn = x1
 	} else {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/iscas"
 	"repro/internal/netlist"
 )
 
@@ -63,6 +64,19 @@ func parseBenchService(src string) (*ParsedBench, error) {
 		MaxBenchBytes)
 }
 
+// checkNamed applies the MaxBenchGates cap to a named parametric
+// generator (rcaN, mixN), whose size a client would otherwise choose
+// freely; the refusal is a BenchTooLarge error, like an over-cap inline
+// source. Other names pass: an unknown one fails when its job resolves
+// it. Like the caps of parseBenchService, this binds the wire only.
+func checkNamed(name string) error {
+	if n, ok := iscas.GeneratedGates(name); ok && n > MaxBenchGates {
+		return &netlist.BenchError{Kind: netlist.BenchTooLarge,
+			Msg: fmt.Sprintf("%s generates %d gates, over the %d-gate limit", name, n, MaxBenchGates)}
+	}
+	return nil
+}
+
 // parseBench is the shared parse/validate/elaborate/fingerprint body.
 // maxBytes zero (like zero lim fields) applies no bound.
 func parseBench(src string, lim netlist.BenchLimits, maxBytes int) (*ParsedBench, error) {
@@ -108,7 +122,8 @@ type source struct {
 	key     string
 	// master is the already-elaborated netlist when the resolution had
 	// one in hand (inline sources; named circuits loaded to compute a
-	// fresh fingerprint alias). nil falls back to loading by name.
+	// fresh fingerprint alias), or the master a sweep's points share.
+	// nil falls back to loading by name.
 	master *netlist.Circuit
 	name   string // suite name when master is nil
 }

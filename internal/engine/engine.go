@@ -305,7 +305,7 @@ func (e *Engine) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeRe
 	}
 	res := &OptimizeResult{}
 	err = e.fanOut(ctx, 1, func(int) error {
-		r, err := e.optimizeTask(ctx, req, src, nil, nil)
+		r, err := e.optimizeTask(ctx, req, src, nil)
 		if err != nil {
 			return err
 		}
@@ -320,11 +320,10 @@ func (e *Engine) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeRe
 
 // optimizeTask is the worker body shared by Optimize, Sweep and Suite.
 // It must be called from a pool slot. src carries the resolved circuit
-// origin; instantiate overrides circuit loading when the caller
-// derives netlists from a shared master (it is only invoked on a memo
-// miss, so cached hits never pay for a clone); tb skips the
-// critical-path extraction and bounds lookup when the caller already
-// holds the master's bounds (sweep points share one master).
+// origin, instantiated only on a memo miss, so cached hits never pay
+// for a load or a clone; tb skips the critical-path extraction and
+// bounds lookup when the caller already holds the master's bounds
+// (sweep points share one master).
 //
 // The whole task is memoized through the shared cache, keyed by
 // (circuit fingerprint, Tc, ratio, leakage flag): repeated
@@ -332,9 +331,9 @@ func (e *Engine) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeRe
 // daemon, and for suite cells overlapping earlier sweeps — return the
 // completed result without recomputation. Determinism makes the memo
 // transparent: a hit is byte-identical to a fresh computation.
-func (e *Engine) optimizeTask(ctx context.Context, req OptimizeRequest, src *source, instantiate func() *netlist.Circuit, tb *core.Bounds) (*OptimizeResult, error) {
+func (e *Engine) optimizeTask(ctx context.Context, req OptimizeRequest, src *source, tb *core.Bounds) (*OptimizeResult, error) {
 	r, err := e.cache.Result(ctx, resultKey(e.model.Proc.Name, src.key, req), func() (*OptimizeResult, error) {
-		return e.computeTask(ctx, req, src, instantiate, tb)
+		return e.computeTask(ctx, req, src, tb)
 	})
 	if err != nil {
 		return nil, err
@@ -351,16 +350,14 @@ func (e *Engine) optimizeTask(ctx context.Context, req OptimizeRequest, src *sou
 }
 
 // computeTask is the uncached task body behind optimizeTask.
-func (e *Engine) computeTask(ctx context.Context, req OptimizeRequest, src *source, instantiate func() *netlist.Circuit, tb *core.Bounds) (*OptimizeResult, error) {
+func (e *Engine) computeTask(ctx context.Context, req OptimizeRequest, src *source, tb *core.Bounds) (*OptimizeResult, error) {
 	defer e.metrics.taskComputed(time.Now())
 	proto, err := e.protocol()
 	if err != nil {
 		return nil, err
 	}
-	var c *netlist.Circuit
-	if instantiate != nil {
-		c = instantiate()
-	} else if c, err = src.instantiate(); err != nil {
+	c, err := src.instantiate()
+	if err != nil {
 		return nil, err
 	}
 	// One incremental timing session serves the whole task: bounds
@@ -524,10 +521,12 @@ func (e *Engine) Sweep(ctx context.Context, req SweepRequest) (*Sweep, error) {
 		return nil, err
 	}
 	e.metrics.stageDone(stageBounds, boundsStart)
+	// Every point clones the one master.
+	src.master = master
 	sw := &Sweep{Circuit: src.display, Tmin: bounds.Tmin, Tmax: bounds.Tmax, Points: make([]SweepPoint, points)}
 	err = e.fanOut(ctx, points, func(i int) error {
 		ratio := 1.0 + float64(i)/float64(points-1)
-		r, err := e.optimizeTask(ctx, OptimizeRequest{Tc: ratio * bounds.Tmin, Leakage: req.Leakage}, src, master.Clone, bounds)
+		r, err := e.optimizeTask(ctx, OptimizeRequest{Tc: ratio * bounds.Tmin, Leakage: req.Leakage}, src, bounds)
 		if err != nil {
 			return err
 		}
@@ -643,7 +642,7 @@ func (e *Engine) Suite(ctx context.Context, req SuiteRequest) (*SuiteResult, err
 	rows := make([]SuiteRow, len(srcs)*len(ratios))
 	err := e.fanOut(ctx, len(rows), func(i int) error {
 		src, ratio := srcs[i/len(ratios)], ratios[i%len(ratios)]
-		r, err := e.optimizeTask(ctx, OptimizeRequest{Ratio: ratio, Leakage: req.Leakage}, src, nil, nil)
+		r, err := e.optimizeTask(ctx, OptimizeRequest{Ratio: ratio, Leakage: req.Leakage}, src, nil)
 		if err != nil {
 			return fmt.Errorf("%s@%.2f: %w", src.display, ratio, err)
 		}

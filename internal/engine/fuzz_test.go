@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,61 +14,115 @@ import (
 	"repro/internal/netlist"
 )
 
-// FuzzOptimizeRequest fuzzes the POST /v1/optimize request decoder —
-// readOptimize, the handler's own decode-and-validate path — on
-// arbitrary bodies: it never panics, a rejection answers 400, 413 or
-// 422, and every accepted body carries a finite, non-negative tc and
-// ratio and exactly one circuit reference (an inline source arrives
-// pre-parsed).
+// FuzzOptimizeRequest fuzzes readRequest, the decode and check that
+// every POST body passes before it becomes a job (and that crash replay
+// runs again), for all three job kinds on arbitrary bodies; the name
+// predates the sweep and suite kinds, and the first seeds are its
+// optimize corpus. It never panics, a rejection answers 400, 413 or
+// 422, and an accepted request has finite, in-range constraints and
+// exactly one circuit source, every inline source arrives parsed, and
+// every named rcaN/mixN generator is within the gate cap.
 func FuzzOptimizeRequest(f *testing.F) {
 	c17, err := json.Marshal(iscas.C17Bench())
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, s := range []string{
-		`{"circuit":"c17","ratio":1.5,"wait":true}`,
-		`{"circuit":"fpd","tc":120}`,
-		`{"circuit":"c17","tc":-50}`,
-		`{"circuit":"c17","ratio":-1}`,
-		`{"circuit":"c17","ratio":1e309}`,
-		`{"circuit":"c17","bench":"INPUT(a)\n"}`,
-		`{"ratio":1.5}`,
-		`{"circuit":"c17","leakage":true,"parallelism":2}`,
-		`{"circuit":"c17"}{"circuit":"c17"}`,
-		`{"bench":` + string(c17) + `}`,
-		`{"bench":"INPUT(a)\nx = NAND(a"}`,
-		`[]`,
-		``,
+	kinds := []JobKind{JobOptimize, JobSweep, JobSuite}
+	for _, s := range []struct {
+		kind uint8
+		body string
+	}{
+		{0, `{"circuit":"c17","ratio":1.5,"wait":true}`},
+		{0, `{"circuit":"fpd","tc":120}`},
+		{0, `{"circuit":"c17","tc":-50}`},
+		{0, `{"circuit":"c17","ratio":-1}`},
+		{0, `{"circuit":"c17","ratio":1e309}`},
+		{0, `{"circuit":"c17","bench":"INPUT(a)\n"}`},
+		{0, `{"ratio":1.5}`},
+		{0, `{"circuit":"c17","leakage":true,"parallelism":2}`},
+		{0, `{"circuit":"c17"}{"circuit":"c17"}`},
+		{0, `{"bench":` + string(c17) + `}`},
+		{0, `{"bench":"INPUT(a)\nx = NAND(a"}`},
+		{0, `[]`},
+		{0, ``},
+		{0, `{"circuit":"mix65537"}`},
+		{0, `{"circuit":"rca7281"}`},
+		{1, `{"circuit":"fpd","points":3,"wait":true}`},
+		{1, `{"circuit":"rca7282","points":3}`},
+		{1, `{"bench":` + string(c17) + `,"points":-1}`},
+		{2, `{"benchmarks":["fpd","c432"],"ratios":[1.2,2]}`},
+		{2, `{"benchmarks":["mix70000"],"benches":[` + string(c17) + `]}`},
+		{2, `{"benches":["INPUT(a)\n"],"ratios":[0]}`},
+		{2, ``},
+		{2, `{"benchmarks":["rca2049638230412172402"]}`},
 	} {
-		f.Add(s)
+		f.Add(s.kind, s.body)
 	}
-	f.Fuzz(func(t *testing.T, data string) {
+	f.Fuzz(func(t *testing.T, k uint8, data string) {
+		kind := kinds[int(k)%len(kinds)]
 		w := httptest.NewRecorder()
-		r := httptest.NewRequest(http.MethodPost, "/v1/optimize", strings.NewReader(data))
-		body, ok := readOptimize(w, r)
+		r := httptest.NewRequest(http.MethodPost, "/v1/"+string(kind), strings.NewReader(data))
+		req, _, ok := readRequest(w, r, kind)
 		if !ok {
 			switch w.Code {
 			case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:
 			default:
-				t.Fatalf("rejection answered %d for %q", w.Code, data)
+				t.Fatalf("%s rejection answered %d for %q", kind, w.Code, data)
 			}
 			return
 		}
 		if w.Body.Len() != 0 {
-			t.Fatalf("accepted body %q wrote a response: %s", data, w.Body)
+			t.Fatalf("accepted %s body %q wrote a response: %s", kind, data, w.Body)
 		}
-		for _, v := range []float64{body.Tc, body.Ratio} {
+		var constraints []float64
+		var names []string
+		switch req := req.(type) {
+		case *OptimizeRequest:
+			constraints = []float64{req.Tc, req.Ratio}
+			names = oneSource(t, data, req.Circuit, req.Bench, req.parsed)
+		case *SweepRequest:
+			constraints = []float64{float64(req.Points)}
+			names = oneSource(t, data, req.Circuit, req.Bench, req.parsed)
+		case *SuiteRequest:
+			for _, r := range req.Ratios {
+				if r <= 0 {
+					t.Fatalf("accepted suite ratio %v in %q", r, data)
+				}
+			}
+			constraints = req.Ratios
+			names = req.Benchmarks
+			if len(req.parsed) != len(req.Benches) || slices.Contains(req.parsed, nil) {
+				t.Fatalf("accepted suite %q without the parse of every inline source", data)
+			}
+		}
+		for _, v := range constraints {
 			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 				t.Fatalf("accepted out-of-range constraint %v in %q", v, data)
 			}
 		}
-		if (body.Circuit == "") == (body.Bench == "") {
-			t.Fatalf("accepted %q without exactly one of circuit and bench", data)
-		}
-		if body.Bench != "" && body.parsed == nil {
-			t.Fatalf("accepted inline source %q without its parse", data)
+		for _, name := range names {
+			if n, ok := iscas.GeneratedGates(name); ok && n > MaxBenchGates {
+				t.Fatalf("accepted %s, a %d-gate generator, in %q", name, n, data)
+			}
 		}
 	})
+}
+
+// oneSource fails unless an accepted single-circuit request carries
+// exactly one source, with an inline source parsed; it returns the
+// named circuit, if any.
+func oneSource(t *testing.T, data, circuit, bench string, parsed *ParsedBench) []string {
+	t.Helper()
+	if (circuit == "") == (bench == "") {
+		t.Fatalf("accepted %q without exactly one of circuit and bench", data)
+	}
+	if bench != "" {
+		if parsed == nil {
+			t.Fatalf("accepted inline source %q without its parse", data)
+		}
+		return nil
+	}
+	return []string{circuit}
 }
 
 // FuzzParseBench fuzzes the whole ingestion path under the service

@@ -12,7 +12,10 @@
 //
 // POST bodies are JSON. By default a POST enqueues the job and answers
 // 202 Accepted with the job snapshot for polling; {"wait": true} runs
-// it synchronously and answers 200 with the finished job.
+// it synchronously and answers 200 with the finished job. Each body
+// passes one decode and check (readRequest and the jobRequest
+// contract of its kind) before it becomes a job; crash replay runs the
+// same check on journaled requests.
 //
 // Every response carries an X-Request-ID — the client's own (when it
 // sent a well-formed one) or a freshly generated ID. The ID rides the
@@ -78,9 +81,9 @@ func NewServer(ctx context.Context, e *Engine, opts ...ServerOption) *Server {
 	s.store.log = s.log
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("POST /v1/optimize", s.handleOptimize)
-	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("POST /v1/suite", s.handleSuite)
+	s.mux.HandleFunc("POST /v1/optimize", s.handlePost(JobOptimize))
+	s.mux.HandleFunc("POST /v1/sweep", s.handlePost(JobSweep))
+	s.mux.HandleFunc("POST /v1/suite", s.handlePost(JobSuite))
 	s.mux.HandleFunc("GET /v1/jobs", s.handleJobs)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("DELETE /v1/jobs", s.handlePrune)
@@ -190,157 +193,180 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// resolveBench validates a POST body's circuit reference — exactly one
-// of a suite name or an inline .bench source — and pre-parses the
-// inline source so the job never re-parses it. Errors are answered on
-// w directly: 400 for a missing/ambiguous reference or malformed
-// source text, 422 for well-formed text that is not a valid netlist
-// (unsupported gates, cycles, duplicate definitions, over-limit
-// sizes). The bool reports whether the request survived.
-func resolveBench(w http.ResponseWriter, circuit, bench string) (*ParsedBench, bool) {
-	if err := validateSourceRef(circuit, bench); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return nil, false
-	}
-	if bench == "" {
-		return nil, true
-	}
-	pb, err := parseBenchService(bench)
-	if err != nil {
-		httpError(w, benchStatus(err), err)
-		return nil, false
-	}
-	return pb, true
+// jobRequest is the service contract of the three POST request kinds
+// (*OptimizeRequest, *SweepRequest, *SuiteRequest). The HTTP handlers
+// and crash replay (Server.Replay) both admit a job through it, so a
+// journaled job re-enters by the same check as a live one.
+type jobRequest interface {
+	// check validates the request under the service caps: the
+	// constraint ranges, the exactly-one-source rule, one parse of each
+	// inline source (kept for run), and the gate cap of named rcaN/mixN
+	// generators. benchStatus maps its error to the HTTP status.
+	check() error
+	// label names the job's subject in the submit log: a circuit name,
+	// an inline netlist's parsed name, or a suite's entry count.
+	label() string
+	// run is the job body: the engine call and the result's wire shape.
+	run(ctx context.Context, e *Engine) (any, error)
 }
 
-// benchStatus maps a rejected .bench source to its HTTP status:
-// malformed text is the client's syntax problem (400), while
-// well-formed text describing an invalid or over-limit netlist is a
-// semantic one (422).
+// newRequest returns a zero request of kind, together with the POST
+// body that decodes into it (the request's fields plus the wait flag)
+// and that flag. req is nil for an unknown kind.
+func newRequest(kind JobKind) (req jobRequest, body any, wait *bool) {
+	switch kind {
+	case JobOptimize:
+		b := new(struct {
+			OptimizeRequest
+			Wait bool `json:"wait,omitempty"`
+		})
+		return &b.OptimizeRequest, b, &b.Wait
+	case JobSweep:
+		b := new(struct {
+			SweepRequest
+			Wait bool `json:"wait,omitempty"`
+		})
+		return &b.SweepRequest, b, &b.Wait
+	case JobSuite:
+		b := new(struct {
+			SuiteRequest
+			Wait bool `json:"wait,omitempty"`
+		})
+		return &b.SuiteRequest, b, &b.Wait
+	}
+	return nil, nil, nil
+}
+
+// benchStatus maps a rejected request to its HTTP status: a .bench
+// error other than syntax — well-formed text that is not a valid
+// netlist, or a netlist over the service caps — is a semantic problem
+// (422); malformed source text, an out-of-range constraint and a
+// missing or ambiguous source are the client's syntax problem (400).
 func benchStatus(err error) int {
 	var be *netlist.BenchError
-	if errors.As(err, &be) && be.Kind == netlist.BenchSyntax {
-		return http.StatusBadRequest
+	if errors.As(err, &be) && be.Kind != netlist.BenchSyntax {
+		return http.StatusUnprocessableEntity
 	}
-	return http.StatusUnprocessableEntity
+	return http.StatusBadRequest
 }
 
-// optimizeBody is the POST /v1/optimize request payload.
-type optimizeBody struct {
-	OptimizeRequest
-	Wait bool `json:"wait,omitempty"`
+// readRequest decodes and checks one POST body of kind: the bounded
+// JSON decode, then the request's check. Rejections are answered on w
+// (400, 413 or 422); ok reports whether the request survived.
+func readRequest(w http.ResponseWriter, r *http.Request, kind JobKind) (req jobRequest, wait, ok bool) {
+	req, body, waitp := newRequest(kind)
+	if !readJSON(w, r, body) {
+		return nil, false, false
+	}
+	if err := req.check(); err != nil {
+		httpError(w, benchStatus(err), err)
+		return nil, false, false
+	}
+	return req, *waitp, true
 }
 
-// readOptimize decodes and validates a POST /v1/optimize body: the
-// bounded JSON decode, the constraint range check and the circuit
-// reference. Rejections are answered on w (400, 413 or 422); the bool
-// reports whether the request survived.
-func readOptimize(w http.ResponseWriter, r *http.Request) (optimizeBody, bool) {
-	var body optimizeBody
-	if !readJSON(w, r, &body) {
-		return body, false
-	}
-	if err := validateConstraint(body.Tc, body.Ratio, 0, nil); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return body, false
-	}
-	pb, ok := resolveBench(w, body.Circuit, body.Bench)
-	body.parsed = pb
-	return body, ok
-}
-
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	body, ok := readOptimize(w, r)
-	if !ok {
-		return
-	}
-	label := body.Circuit
-	if body.parsed != nil {
-		label = body.parsed.Name
-	}
-	s.dispatch(w, r, JobOptimize, body.Wait, label, body.OptimizeRequest, func(ctx context.Context) (any, error) {
-		res, err := s.engine.Optimize(ctx, body.OptimizeRequest)
-		if err != nil {
-			return nil, err
+// handlePost serves the POST endpoint of one job kind.
+func (s *Server) handlePost(kind JobKind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if req, wait, ok := readRequest(w, r, kind); ok {
+			s.dispatch(w, r, kind, wait, req)
 		}
-		return WireOptimize(res), nil
-	})
+	}
 }
 
-// sweepBody is the POST /v1/sweep request payload.
-type sweepBody struct {
-	SweepRequest
-	Wait bool `json:"wait,omitempty"`
+// checkSource applies the exactly-one-source rule and the service caps
+// to one circuit reference. It returns the parse of an inline source,
+// nil for a named circuit.
+func checkSource(circuit, bench string) (*ParsedBench, error) {
+	if err := validateSourceRef(circuit, bench); err != nil {
+		return nil, err
+	}
+	if bench == "" {
+		return nil, checkNamed(circuit)
+	}
+	return parseBenchService(bench)
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var body sweepBody
-	if !readJSON(w, r, &body) {
-		return
-	}
-	if err := validateConstraint(0, 0, body.Points, nil); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	pb, ok := resolveBench(w, body.Circuit, body.Bench)
-	if !ok {
-		return
-	}
-	body.parsed = pb
-	label := body.Circuit
+// sourceLabel names a single-circuit request's subject: the circuit
+// name, or an inline netlist's parsed name (fingerprint-derived when
+// anonymous).
+func sourceLabel(circuit string, pb *ParsedBench) string {
 	if pb != nil {
-		label = pb.Name
+		return pb.Name
 	}
-	s.dispatch(w, r, JobSweep, body.Wait, label, body.SweepRequest, func(ctx context.Context) (any, error) {
-		return s.engine.Sweep(ctx, body.SweepRequest)
-	})
+	return circuit
 }
 
-// suiteBody is the POST /v1/suite request payload.
-type suiteBody struct {
-	SuiteRequest
-	Wait bool `json:"wait,omitempty"`
+func (r *OptimizeRequest) check() (err error) {
+	if err := validateConstraint(r.Tc, r.Ratio, 0, nil); err != nil {
+		return err
+	}
+	r.parsed, err = checkSource(r.Circuit, r.Bench)
+	return err
 }
 
-func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
-	var body suiteBody
-	if !readJSON(w, r, &body) {
-		return
+func (r *OptimizeRequest) label() string { return sourceLabel(r.Circuit, r.parsed) }
+
+func (r *OptimizeRequest) run(ctx context.Context, e *Engine) (any, error) {
+	res, err := e.Optimize(ctx, *r)
+	if err != nil {
+		return nil, err
 	}
-	if err := validateConstraint(0, 0, 0, body.Ratios); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
+	return WireOptimize(res), nil
+}
+
+func (r *SweepRequest) check() (err error) {
+	if err := validateConstraint(0, 0, r.Points, nil); err != nil {
+		return err
 	}
-	// Inline entries are validated synchronously: a bad netlist answers
-	// 400/422 here instead of surfacing as an async job failure.
-	if len(body.Benches) > 0 {
-		body.parsed = make([]*ParsedBench, len(body.Benches))
-		for i, src := range body.Benches {
-			pb, err := parseBenchService(src)
-			if err != nil {
-				httpError(w, benchStatus(err), fmt.Errorf("benches[%d]: %w", i, err))
-				return
-			}
-			body.parsed[i] = pb
+	r.parsed, err = checkSource(r.Circuit, r.Bench)
+	return err
+}
+
+func (r *SweepRequest) label() string { return sourceLabel(r.Circuit, r.parsed) }
+
+func (r *SweepRequest) run(ctx context.Context, e *Engine) (any, error) {
+	return e.Sweep(ctx, *r)
+}
+
+// check validates a suite up front: a bad entry answers here instead of
+// surfacing as an async job failure.
+func (r *SuiteRequest) check() error {
+	if err := validateConstraint(0, 0, 0, r.Ratios); err != nil {
+		return err
+	}
+	for i, name := range r.Benchmarks {
+		if err := checkNamed(name); err != nil {
+			return fmt.Errorf("benchmarks[%d]: %w", i, err)
 		}
 	}
-	label := fmt.Sprintf("suite(%d entries)", len(body.Benchmarks)+len(body.Benches))
-	s.dispatch(w, r, JobSuite, body.Wait, label, body.SuiteRequest, func(ctx context.Context) (any, error) {
-		return s.engine.Suite(ctx, body.SuiteRequest)
-	})
+	r.parsed = make([]*ParsedBench, len(r.Benches))
+	for i, src := range r.Benches {
+		pb, err := parseBenchService(src)
+		if err != nil {
+			return fmt.Errorf("benches[%d]: %w", i, err)
+		}
+		r.parsed[i] = pb
+	}
+	return nil
 }
 
-// dispatch submits the job under the request's trace ID and answers
-// either the finished job (wait) or a 202 snapshot for polling.
-// circuit labels the job's subject in the submit log line — a suite
-// benchmark name, an inline netlist's parsed name (fingerprint-derived
-// when anonymous), or an entry count for suites. req is the validated
-// request value journaled for crash replay (when the server has a
-// journal); it must re-validate and re-run identically when
-// unmarshalled by Server.Replay. A store that began shutting down
+func (r *SuiteRequest) label() string {
+	return fmt.Sprintf("suite(%d entries)", len(r.Benchmarks)+len(r.Benches))
+}
+
+func (r *SuiteRequest) run(ctx context.Context, e *Engine) (any, error) {
+	return e.Suite(ctx, *r)
+}
+
+// dispatch submits the checked request as a job under the request's
+// trace ID and answers either the finished job (wait) or a 202
+// snapshot for polling. When the server has a journal, req is
+// journaled for crash replay, which decodes and checks it again
+// through the same jobRequest. A store that began shutting down
 // rejects the submission; that is the daemon draining, not a client
 // error, so it answers 503.
-func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, kind JobKind, wait bool, circuit string, req any, run func(ctx context.Context) (any, error)) {
+func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, kind JobKind, wait bool, req jobRequest) {
 	rid := obs.RequestID(r.Context())
 	var payload []byte
 	if s.store.journal != nil {
@@ -353,13 +379,15 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, kind JobKind, 
 			payload = nil
 		}
 	}
-	j, err := s.store.submit(kind, rid, payload, run)
+	j, err := s.store.submit(kind, rid, payload, func(ctx context.Context) (any, error) {
+		return req.run(ctx, s.engine)
+	})
 	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, err)
 		return
 	}
 	s.log.Info("job submitted",
-		"job", j.ID, "kind", string(kind), "circuit", circuit,
+		"job", j.ID, "kind", string(kind), "circuit", req.label(),
 		"wait", wait, "request_id", rid)
 	if !wait {
 		writeJSON(w, http.StatusAccepted, j)

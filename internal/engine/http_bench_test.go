@@ -74,6 +74,55 @@ func TestBenchEndpointValidation(t *testing.T) {
 	}
 }
 
+// TestNamedGeneratorCap pins the gate cap on named generators: an
+// rcaN or mixN name over MaxBenchGates answers 422 BenchTooLarge on
+// every POST endpoint before any job is registered, like an over-cap
+// inline source; that holds for widths whose 9N+1 gate count overflows
+// int. A width too long for an int is no generator name; its job fails
+// as an unknown benchmark.
+func TestNamedGeneratorCap(t *testing.T) {
+	const wraps, overflows = "rca2049638230412172402", "rca1025000000000000000"
+	// A check that let one of these through would start a job that
+	// builds it, so the check is asked first and no POST follows a miss.
+	for _, name := range []string{"mix65537", "rca7282", wraps, overflows} {
+		if checkNamed(name) == nil {
+			t.Fatalf("checkNamed(%s) accepted an over-cap generator", name)
+		}
+	}
+	srv, ts := newTestServer(t)
+	for _, c := range []struct {
+		path string
+		body map[string]any
+	}{
+		{"/v1/optimize", map[string]any{"circuit": "mix65537"}},
+		{"/v1/optimize", map[string]any{"circuit": "rca7282"}},
+		{"/v1/optimize", map[string]any{"circuit": wraps}},
+		{"/v1/sweep", map[string]any{"circuit": "rca7282", "points": 3}},
+		{"/v1/sweep", map[string]any{"circuit": overflows, "points": 3}},
+		{"/v1/suite", map[string]any{"benchmarks": []string{"fpd", "mix65537"}}},
+		{"/v1/suite", map[string]any{"benchmarks": []string{wraps}}},
+	} {
+		resp, body := postJSON(t, ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s %v: status %d %v", c.path, c.body, resp.StatusCode, body)
+		}
+		if msg, _ := body["error"].(string); !strings.Contains(msg, "65536-gate limit") {
+			t.Fatalf("%s %v: error %q does not name the gate limit", c.path, c.body, msg)
+		}
+	}
+	if n := srv.Store().Len(); n != 0 {
+		t.Fatalf("%d jobs registered for over-cap generators", n)
+	}
+	long := "rca" + strings.Repeat("1", 25)
+	resp, body := postJSON(t, ts.URL+"/v1/optimize", map[string]any{"circuit": long, "wait": true})
+	if resp.StatusCode != http.StatusUnprocessableEntity || body["status"] != string(JobFailed) {
+		t.Fatalf("%s: status %d %v", long, resp.StatusCode, body)
+	}
+	if msg, _ := body["error"].(string); !strings.Contains(msg, "unknown benchmark") {
+		t.Fatalf("%s: error %q", long, msg)
+	}
+}
+
 // TestSuiteMixedEntries runs a named benchmark and an inline netlist
 // in one suite job.
 func TestSuiteMixedEntries(t *testing.T) {

@@ -25,8 +25,9 @@ func twoPassAcceptedRecord(kind JobKind, requestID string, req any) ([]byte, err
 
 // TestAcceptedRecordBytes pins the one-pass journal encoding to the
 // two-pass bytes on bodies whose bench source and request ID carry the
-// characters encoding/json escapes (<, &, ", U+2028), and checks that
-// Server.Replay still re-submits every record with its request ID.
+// characters encoding/json escapes (<, &, ", U+2028), both as values
+// and as the pointers dispatch journals, and checks that Server.Replay
+// still re-submits every record with its request ID.
 func TestAcceptedRecordBytes(t *testing.T) {
 	const odd = "<a & \"b\" \u2028 c>"
 	src := "# c17\n# " + odd + "\n" + iscas.C17Bench()
@@ -41,6 +42,9 @@ func TestAcceptedRecordBytes(t *testing.T) {
 		{JobOptimize, OptimizeRequest{Bench: src, Ratio: 1.5}},
 		{JobSweep, SweepRequest{Bench: src, Points: 3}},
 		{JobSuite, SuiteRequest{Benches: []string{src}, Ratios: []float64{2}}},
+		{JobOptimize, &OptimizeRequest{Bench: src, Ratio: 1.5}},
+		{JobSweep, &SweepRequest{Bench: src, Points: 3}},
+		{JobSuite, &SuiteRequest{Benches: []string{src}, Ratios: []float64{2}}},
 	}
 	path := filepath.Join(t.TempDir(), "jobs.journal")
 	j, _, err := store.OpenJournal(path, nil)

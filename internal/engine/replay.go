@@ -1,14 +1,16 @@
 // Job durability: the journal payload schema and the restart replay
 // pass. Every POST that popsd accepts with a data directory appends an
-// "accepted" journal record carrying the validated request body; the
+// "accepted" journal record carrying the checked request body; the
 // job's goroutine appends a terminal record when it finishes. On boot,
 // Server.Replay folds the records per job ID, compacts the journal,
-// and re-submits every job that was accepted but never finished — so a
-// 202 acknowledged before a crash is work the daemon still owes, and a
-// client polling after the restart finds its job (under a fresh ID)
-// completed. Replayed tasks are content-addressed like live ones:
-// whatever the crashed run already persisted to the result store is
-// served, only the genuinely unfinished tail recomputes.
+// and re-submits every job that was accepted but never finished,
+// through the same jobRequest check and run as the POST handlers — so
+// a 202 acknowledged before a crash is work the daemon still owes, and
+// a client polling after the restart finds its job (under a fresh ID)
+// completed with the result the live job would have returned. Replayed
+// tasks are content-addressed like live ones: whatever the crashed run
+// already persisted to the result store is served, only the genuinely
+// unfinished tail recomputes.
 
 package engine
 
@@ -67,9 +69,9 @@ func WithJournal(j *store.Journal) ServerOption {
 // job IDs restart per process, so stale records must not alias fresh
 // ones — and every job whose last record is "accepted" is re-submitted
 // with its original request body and trace ID. Returns the number of
-// jobs re-submitted. Records that fail to parse or validate are logged
-// and skipped, never fatal: one bad record must not block the daemon
-// from starting.
+// jobs re-submitted. Records that fail to decode or fail the POST
+// check are logged and skipped, never fatal: one bad record must not
+// block the daemon from starting.
 func (s *Server) Replay(entries []store.JournalEntry) (int, error) {
 	type pending struct {
 		rec   journalRecord
@@ -108,13 +110,23 @@ func (s *Server) Replay(entries []store.JournalEntry) (int, error) {
 		if !ok {
 			continue
 		}
-		run, err := s.replayRun(p.rec)
+		// The POST check, run again: a journaled request re-enters the
+		// way it first entered, inline sources parsed under the caps.
+		req, _, _ := newRequest(p.rec.Kind)
+		var err error
+		if req == nil {
+			err = fmt.Errorf("engine: unknown job kind %q", p.rec.Kind)
+		} else if err = json.Unmarshal(p.rec.Request, req); err == nil {
+			err = req.check()
+		}
 		if err != nil {
 			s.log.Warn("replay: skipping unreplayable job",
 				"job", id, "kind", string(p.rec.Kind), "error", err.Error())
 			continue
 		}
-		j, err := s.store.submit(p.rec.Kind, p.rec.RequestID, p.bytes, run)
+		j, err := s.store.submit(p.rec.Kind, p.rec.RequestID, p.bytes, func(ctx context.Context) (any, error) {
+			return req.run(ctx, s.engine)
+		})
 		if err != nil {
 			return resubmitted, err
 		}
@@ -124,66 +136,4 @@ func (s *Server) Replay(entries []store.JournalEntry) (int, error) {
 		resubmitted++
 	}
 	return resubmitted, nil
-}
-
-// replayRun rebuilds the job closure of one journaled request,
-// re-validating inline netlists exactly like the HTTP handlers did on
-// first submission.
-func (s *Server) replayRun(rec journalRecord) (func(ctx context.Context) (any, error), error) {
-	switch rec.Kind {
-	case JobOptimize:
-		var req OptimizeRequest
-		if err := json.Unmarshal(rec.Request, &req); err != nil {
-			return nil, err
-		}
-		if req.Bench != "" {
-			pb, err := parseBenchService(req.Bench)
-			if err != nil {
-				return nil, err
-			}
-			req.parsed = pb
-		}
-		return func(ctx context.Context) (any, error) {
-			res, err := s.engine.Optimize(ctx, req)
-			if err != nil {
-				return nil, err
-			}
-			return WireOptimize(res), nil
-		}, nil
-	case JobSweep:
-		var req SweepRequest
-		if err := json.Unmarshal(rec.Request, &req); err != nil {
-			return nil, err
-		}
-		if req.Bench != "" {
-			pb, err := parseBenchService(req.Bench)
-			if err != nil {
-				return nil, err
-			}
-			req.parsed = pb
-		}
-		return func(ctx context.Context) (any, error) {
-			return s.engine.Sweep(ctx, req)
-		}, nil
-	case JobSuite:
-		var req SuiteRequest
-		if err := json.Unmarshal(rec.Request, &req); err != nil {
-			return nil, err
-		}
-		if len(req.Benches) > 0 {
-			req.parsed = make([]*ParsedBench, len(req.Benches))
-			for i, src := range req.Benches {
-				pb, err := parseBenchService(src)
-				if err != nil {
-					return nil, fmt.Errorf("benches[%d]: %w", i, err)
-				}
-				req.parsed[i] = pb
-			}
-		}
-		return func(ctx context.Context) (any, error) {
-			return s.engine.Suite(ctx, req)
-		}, nil
-	default:
-		return nil, fmt.Errorf("engine: unknown job kind %q", rec.Kind)
-	}
 }

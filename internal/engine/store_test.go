@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -425,5 +426,79 @@ func TestReplayResubmitsUnfinishedJobs(t *testing.T) {
 	}
 	if len(open) != 0 {
 		t.Errorf("journal still owes jobs after replay completed: %v", open)
+	}
+}
+
+// TestReplayMatchesLiveResult posts one job of each kind to a
+// journaled server, then replays the journal's accepted records into a
+// fresh server over a fresh engine, as after a crash. Every replayed
+// job's result JSON must equal the live job's byte for byte.
+func TestReplayMatchesLiveResult(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts, j := newJournaledServer(t, dir)
+	posts := []struct {
+		path string
+		body map[string]any
+	}{
+		{"/v1/optimize", map[string]any{"circuit": "fpd", "ratio": 1.5}},
+		{"/v1/optimize", map[string]any{"bench": iscas.C17Bench(), "tc": 60, "leakage": true}},
+		{"/v1/sweep", map[string]any{"circuit": "c17", "points": 3}},
+		{"/v1/suite", map[string]any{"benchmarks": []string{"c17"},
+			"benches": []string{iscas.C17Bench()}, "ratios": []float64{1.3, 2}}},
+	}
+	for _, p := range posts {
+		p.body["wait"] = true
+		if resp, out := postJSON(t, ts.URL+p.path, p.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d %v", p.path, resp.StatusCode, out)
+		}
+	}
+	srv.store.Wait()
+	results := func(s *Server) [][]byte {
+		var out [][]byte
+		for _, job := range s.store.List() {
+			if job.Status != JobDone {
+				t.Fatalf("%s job %s: status %s (%s)", job.Kind, job.ID, job.Status, job.Error)
+			}
+			b, err := json.Marshal(job.Result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, b)
+		}
+		return out
+	}
+	live := results(srv)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, entries, err := store.OpenJournal(filepath.Join(dir, "jobs.journal"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted []store.JournalEntry
+	for _, e := range entries {
+		var rec journalRecord
+		if err := json.Unmarshal(e.Payload, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Event == "accepted" {
+			accepted = append(accepted, e)
+		}
+	}
+	replayed := NewServer(context.Background(), newStoreEngine(t, nil))
+	t.Cleanup(replayed.Shutdown)
+	n, err := replayed.Replay(accepted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(posts) {
+		t.Fatalf("replayed %d jobs, want %d", n, len(posts))
+	}
+	replayed.store.Wait()
+	for i, got := range results(replayed) {
+		if !bytes.Equal(got, live[i]) {
+			t.Errorf("%s: replayed result differs from the live one\n got: %s\nwant: %s", posts[i].path, got, live[i])
+		}
 	}
 }

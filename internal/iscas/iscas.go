@@ -107,19 +107,47 @@ func Known(name string) bool {
 	return err == nil
 }
 
+// GeneratedGates reports the gate count of a parametric generator
+// name without building the circuit: 9N+1 for "rcaN", and the budget
+// N for "mixN", whose layers round it down (from N = 64 on, the circuit
+// has at most N gates). A count too large for an int saturates at
+// math.MaxInt. ok is false for every other name, the fixed suite
+// included.
+func GeneratedGates(name string) (gates int, ok bool) {
+	if n, ok := rcaBits(name); ok {
+		if n > (math.MaxInt-1)/9 {
+			return math.MaxInt, true
+		}
+		return 9*n + 1, true
+	}
+	if n, ok := mixGates(name); ok {
+		return n, true
+	}
+	return 0, false
+}
+
 // rcaBits parses an "rcaN" name into its bit width.
 func rcaBits(name string) (int, bool) {
-	if len(name) < 4 || name[:3] != "rca" {
+	n, ok := nameSize(name, "rca")
+	return n, ok && n > 0
+}
+
+// nameSize parses the decimal size that follows prefix in a generator
+// name. ok is false for another prefix, an empty or non-digit suffix,
+// or a size that does not fit in an int.
+func nameSize(name, prefix string) (int, bool) {
+	digits, ok := strings.CutPrefix(name, prefix)
+	if !ok || digits == "" {
 		return 0, false
 	}
 	n := 0
-	for _, ch := range name[3:] {
-		if ch < '0' || ch > '9' {
+	for _, ch := range digits {
+		if ch < '0' || ch > '9' || n > (math.MaxInt-9)/10 {
 			return 0, false
 		}
 		n = n*10 + int(ch-'0')
 	}
-	return n, n > 0
+	return n, true
 }
 
 // gate-type distribution of the generated logic, approximating the

@@ -2,6 +2,7 @@ package iscas
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -258,5 +259,44 @@ func TestRippleCarryAdderCriticalPathIsCarryChain(t *testing.T) {
 func TestRippleCarryAdderRejectsZeroBits(t *testing.T) {
 	if _, err := RippleCarryAdder(0); err == nil {
 		t.Fatal("0-bit adder accepted")
+	}
+}
+
+// TestGeneratedGates pins the size that GeneratedGates reports for
+// the parametric generators against the circuits Load builds, and
+// checks that a size which overflows int is no generator name at all.
+func TestGeneratedGates(t *testing.T) {
+	for _, name := range []string{"rca1", "rca16", "rca64", "mix64", "mix1000", "mix5000"} {
+		n, ok := GeneratedGates(name)
+		if !ok {
+			t.Fatalf("%s: not a generator name", name)
+		}
+		c, err := Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := len(c.Gates())
+		if strings.HasPrefix(name, "rca") && got != n {
+			t.Errorf("%s: GeneratedGates %d, Load built %d gates", name, n, got)
+		}
+		if strings.HasPrefix(name, "mix") && (got > n || got < n*9/10) {
+			t.Errorf("%s: GeneratedGates %d, Load built %d gates (want 90–100%%)", name, n, got)
+		}
+	}
+	// 9N+1 overflows int for these widths (the first wraps to 3); the
+	// count saturates instead, so no cap check can be slipped past.
+	for _, name := range []string{"rca2049638230412172402", "rca1025000000000000000"} {
+		if n, ok := GeneratedGates(name); !ok || n != math.MaxInt {
+			t.Errorf("%s: GeneratedGates = %d, %v, want math.MaxInt, true", name, n, ok)
+		}
+	}
+	for _, name := range []string{"rca", "rca0", "mix15", "c432", "c17", "rcax",
+		"rca" + strings.Repeat("9", 25), "mix" + strings.Repeat("1", 25)} {
+		if n, ok := GeneratedGates(name); ok {
+			t.Errorf("%s: GeneratedGates = %d, want not a generator name", name, n)
+		}
+	}
+	if Known("rca" + strings.Repeat("1", 25)) {
+		t.Error("a 25-digit rca width that overflows int is Known")
 	}
 }

@@ -16,17 +16,8 @@ import (
 
 // mixGates parses a "mixN" name into its gate budget.
 func mixGates(name string) (int, bool) {
-	if len(name) < 4 || name[:3] != "mix" {
-		return 0, false
-	}
-	n := 0
-	for _, ch := range name[3:] {
-		if ch < '0' || ch > '9' {
-			return 0, false
-		}
-		n = n*10 + int(ch-'0')
-	}
-	return n, n >= 16
+	n, ok := nameSize(name, "mix")
+	return n, ok && n >= 16
 }
 
 // MixedLogic builds the deterministic layered random-logic circuit

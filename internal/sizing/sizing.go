@@ -233,7 +233,6 @@ func tmin(m *delay.Model, pa *delay.Path, o Options, polish bool) (*Result, erro
 // path delay, one golden-section line search per interior stage. Every
 // probe goes through the incremental evaluator ev.
 func polishWorstEdge(m *delay.Model, pa *delay.Path, ev *delay.PathEval) {
-	const phi = 0.6180339887498949
 	n := len(pa.Stages)
 	cur := m.PathDelayWorst(pa)
 	ev.Reset(m, pa)
@@ -246,20 +245,8 @@ func polishWorstEdge(m *delay.Model, pa *delay.Path, ev *delay.PathEval) {
 			x0 := pa.Stages[i].CIn
 			lo := math.Max(m.Proc.CRef, x0/4)
 			hi := math.Min(m.Proc.CMax, x0*4)
-			x1 := hi - phi*(hi-lo)
-			x2 := lo + phi*(hi-lo)
-			f1, f2 := ev.Probe(i, x1), ev.Probe(i, x2)
-			for it := 0; it < 48 && hi-lo > 1e-9*hi; it++ {
-				if f1 < f2 {
-					hi, x2, f2 = x2, x1, f1
-					x1 = hi - phi*(hi-lo)
-					f1 = ev.Probe(i, x1)
-				} else {
-					lo, x1, f1 = x1, x2, f2
-					x2 = lo + phi*(hi-lo)
-					f2 = ev.Probe(i, x2)
-				}
-			}
+			x1, f1, x2, f2 := GoldenSection(lo, hi, 48, func(x float64) float64 { return ev.Probe(i, x) })
+			// An exact tie keeps x1.
 			best, bx := f1, x1
 			if f2 < f1 {
 				best, bx = f2, x2
@@ -274,6 +261,32 @@ func polishWorstEdge(m *delay.Model, pa *delay.Path, ev *delay.PathEval) {
 			break
 		}
 	}
+}
+
+// GoldenSection narrows the bracket [lo, hi] around a minimum of the
+// unimodal f by golden-section steps, at most steps of them, until the
+// bracket is narrower than 1e-9·hi. It returns the bracket's two final
+// probes, x1 < x2, and their values; the caller picks between them, so
+// the tie rule stays the caller's.
+//
+//pops:noalloc
+func GoldenSection(lo, hi float64, steps int, f func(float64) float64) (x1, f1, x2, f2 float64) {
+	const phi = 0.6180339887498949
+	x1 = hi - phi*(hi-lo)
+	x2 = lo + phi*(hi-lo)
+	f1, f2 = f(x1), f(x2)
+	for it := 0; it < steps && hi-lo > 1e-9*hi; it++ {
+		if f1 < f2 {
+			hi, x2, f2 = x2, x1, f1
+			x1 = hi - phi*(hi-lo)
+			f1 = f(x1)
+		} else {
+			lo, x1, f1 = x1, x2, f2
+			x2 = lo + phi*(hi-lo)
+			f2 = f(x2)
+		}
+	}
+	return x1, f1, x2, f2
 }
 
 // AreaWeight returns the marginal area cost of a stage's input
